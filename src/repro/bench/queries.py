@@ -402,17 +402,6 @@ def _pedestrian_identity_map(candidates, workload: TrafficWorkload) -> dict:
     return out
 
 
-def _pedestrian_identities(workload: TrafficWorkload) -> dict[int, str | None]:
-    return {
-        patch_id: (
-            identity
-            if identity is not None and identity.startswith("ped-")
-            else None
-        )
-        for patch_id, identity in workload.identity_of.items()
-    }
-
-
 def q4_plan_accuracy(
     workload: TrafficWorkload,
     order: str,

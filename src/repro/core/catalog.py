@@ -12,16 +12,21 @@ directory and exposes:
   a collection attribute (or the patch data itself for feature patches);
 * :class:`MaterializedCollection` — scan / point access / index lookup.
 
-Multi-dimensional indexes are rebuilt from the stored patches on reopen
-(they live in memory, like the paper's "on-the-fly" Ball-trees); their
-registration is persisted so reopening is transparent.
+Hash and B+ tree indexes live in the pager; R-trees and Ball-trees are
+rebuilt from the stored patches on first use (the paper's "on-the-fly"
+Ball-trees).
 
-The catalog is also the planner's :class:`~repro.core.statistics.
-StatisticsProvider`: every :meth:`MaterializedCollection.add` folds the
-patch into that collection's :class:`~repro.core.statistics.
-CollectionStatistics` (histograms, MCVs, distinct sketches, embedding
-dims), and the snapshots persist through the blob heap so cardinality
-estimates survive sessions.
+Derived state persists as blob-heap snapshots through one registry,
+:class:`DerivedState`, with one instance per kind. Each object sets its
+own ``dirty`` flag and is re-snapshotted at the next commit barrier. A
+snapshot that fails to decode is quarantined, recorded as a recovery
+event, and replaced by its kind's repair policy:
+
+* statistics (the planner's ``StatisticsProvider``, folded in by every
+  :meth:`MaterializedCollection.add`) rebuild from a full scan, or are
+  dropped when the collection is gone;
+* HNSW graphs (grown on every add) rebuild from their collection;
+* the plan-quality and slow-query logs restart empty (advisory history).
 """
 
 from __future__ import annotations
@@ -332,6 +337,127 @@ class MaterializedCollection:
         return self.get_many(list(index.lookup(value)))
 
 
+class DerivedState:
+    """One kind of derived state persisted as blob-heap snapshots.
+
+    Objects live under a key — a collection name (statistics), an index
+    key (HNSW graphs), or ``None`` (the catalog-wide logs) — and expose
+    ``to_value()`` plus a ``dirty`` flag set by their own mutators. The
+    registry owns the key -> heap-ref map stored in catalog meta under
+    ``meta_key``, decodes snapshots lazily through ``loader`` (a
+    ``from_value``), and quarantines one it cannot decode: the ref is
+    dropped, an ``event`` recovery event is recorded, and
+    ``repair(key)`` supplies the replacement (or ``None``).
+    """
+
+    def __init__(
+        self,
+        catalog: "Catalog",
+        meta: dict,
+        meta_key: str,
+        event: str,
+        loader: Callable[[Any], Any],
+        repair: Callable[[Any], Any],
+    ) -> None:
+        self._catalog = catalog
+        self.meta_key = meta_key
+        self._event = event
+        self._loader = loader
+        self._repair = repair
+        self._refs: dict[Any, list] = _snapshot_refs(meta.get(meta_key))
+        self._live: dict[Any, Any] = {}
+
+    def get(self, key, *, create: bool = False):
+        """The object under ``key``: resident, else decoded from its
+        snapshot, else (corrupt snapshot) repaired. Without a snapshot
+        the answer is ``None`` — or, with ``create``, the repair hook's
+        fresh object."""
+        obj = self._live.get(key)
+        if obj is not None:
+            return obj
+        ref = self._refs.get(key)
+        if ref is not None:
+            try:
+                obj = self._load(key, BlobRef.from_tuple(tuple(ref)))
+            except CorruptionError as exc:
+                del self._refs[key]
+                self._catalog._record_recovery_event(
+                    self._event, **_event_fields(key), detail=str(exc)
+                )
+                obj = self._repair(key)
+        elif create:
+            obj = self._repair(key)
+        if obj is not None:
+            self._live[key] = obj
+        return obj
+
+    def put(self, key, obj):
+        self._live[key] = obj
+        return obj
+
+    def drop(self, match: Callable[[Any], bool]) -> None:
+        """Forget every object and snapshot whose key ``match``es."""
+        for store in (self._refs, self._live):
+            for key in [k for k in store if match(k)]:
+                del store[key]
+
+    def flush(self) -> dict:
+        """Snapshot every dirty object into the heap (key order); returns
+        the key -> ref map for catalog meta."""
+        for key in sorted(k for k, obj in self._live.items() if obj.dirty):
+            obj = self._live[key]
+            payload = serialization.dumps(obj.to_value(), compress_arrays=False)
+            ref = self._catalog.heap.put(payload, compress=True)
+            self._refs[key] = list(ref.to_tuple())
+            obj.dirty = False
+        return dict(self._refs)
+
+    def _load(self, key, ref: BlobRef):
+        """Decode one snapshot; every failure — checksum, short read,
+        undecodable content, a shape ``loader`` rejects — surfaces as one
+        positioned :class:`CorruptionError`."""
+        heap = self._catalog.heap
+        try:
+            return self._loader(serialization.loads(heap.get(ref)))
+        except CorruptionError:
+            raise
+        except (
+            StorageError,
+            zlib.error,
+            struct.error,
+            ValueError,
+            KeyError,
+            TypeError,
+            IndexError,
+            AttributeError,
+        ) as exc:
+            raise CorruptionError(
+                f"undecodable {self.meta_key} snapshot {key!r}: {exc}",
+                file=heap.path,
+                offset=ref.offset,
+            ) from exc
+
+
+def _snapshot_refs(raw) -> dict:
+    """key -> heap ref from a ``catalog:*`` meta entry. Catalogs written
+    before the registry stored HNSW refs as ``[[key, ref], ...]`` pairs
+    and each log's ref bare; both read into the same map."""
+    if isinstance(raw, list):
+        if raw and isinstance(raw[0], int):
+            return {None: raw}
+        return {tuple(key): ref for key, ref in raw}
+    return dict(raw or {})
+
+
+def _event_fields(key) -> dict:
+    """Recovery-event fields naming a derived-state key."""
+    if key is None:
+        return {}
+    if isinstance(key, str):
+        return {"collection": key}
+    return {"collection": key[0], "attr": key[1]}
+
+
 class Catalog:
     """Database directory: patch heap, collections, indexes, lineage.
 
@@ -428,7 +554,8 @@ class Catalog:
         # (LineageStore re-creates its B+ trees into an empty meta dict,
         # which would mask a torn meta page as a legitimately empty
         # catalog and silently orphan every collection)
-        if not self.pager.get_meta() and (
+        meta = self.pager.get_meta()
+        if not meta and (
             self.pager.page_count > 2 or self.heap.size_bytes > 16
         ):
             raise CorruptionError(
@@ -439,10 +566,10 @@ class Catalog:
             )
         self.lineage = LineageStore(self.pager)
         self._collections: dict[str, MaterializedCollection] = {}
-        #: (collection, attr, kind) -> index object
+        #: (collection, attr, kind) -> resident index object (HNSW graphs
+        #: live in ``_hnsw_graphs``)
         self._indexes: dict[tuple[str, str, str], Any] = {}
         self._trees: dict[str, BPlusTree] = {}
-        meta = self.pager.get_meta()
         self._recovery_log = [dict(e) for e in meta.get("catalog:recovery_log", [])]
         if replay_report is not None:
             self._metric_replays.inc()
@@ -461,17 +588,34 @@ class Catalog:
             tuple(entry[0]): dict(entry[1])
             for entry in meta.get("catalog:index_params", [])
         }
-        #: (collection, attr, 'hnsw') -> heap ref of the graph snapshot
-        self._hnsw_refs: dict[tuple[str, str, str], list] = {
-            tuple(entry[0]): list(entry[1])
-            for entry in meta.get("catalog:hnsw", [])
-        }
-        self._hnsw_dirty: set[tuple[str, str, str]] = set()
-        #: collection name -> in-memory statistics (lazily loaded)
-        self._stats: dict[str, CollectionStatistics] = {}
-        #: collection name -> heap ref of the persisted stats snapshot
-        self._stats_refs: dict[str, list] = dict(meta.get("catalog:stats", {}))
-        self._stats_dirty: set[str] = set()
+        #: collection name -> statistics
+        self._statistics = DerivedState(
+            self, meta, "catalog:stats", "stats_rebuilt",
+            CollectionStatistics.from_value,
+            lambda name: (
+                self.rebuild_statistics(name)
+                if name in self._collections else None
+            ),
+        )
+        #: (collection, attr, 'hnsw') -> graph
+        self._hnsw_graphs = DerivedState(
+            self, meta, "catalog:hnsw", "hnsw_rebuilt",
+            lambda value: HNSWIndex.from_value(value, metrics=self.metrics),
+            lambda key: self._build_index(
+                self.collection(key[0]), key[1], key[2], None
+            ),
+        )
+        #: None -> estimate-vs-actual history and per-predicate feedback
+        #: corrections from EXPLAIN ANALYZE runs
+        self._plan_quality = DerivedState(
+            self, meta, "catalog:plan_log", "plan_log_reset",
+            PlanQualityLog.from_value, lambda _: PlanQualityLog(),
+        )
+        #: None -> queries over the slow-query threshold
+        self._slow_queries = DerivedState(
+            self, meta, "catalog:slow_log", "slow_log_reset",
+            SlowQueryLog.from_value, lambda _: SlowQueryLog(),
+        )
         #: collection name -> monotone mutation counter (bumped per add);
         #: the lineage version materialized views record for their bases
         self._versions: dict[str, int] = dict(meta.get("catalog:versions", {}))
@@ -480,14 +624,6 @@ class Catalog:
         self._fresh_versions: dict[str, int] = dict(
             meta.get("catalog:fresh_versions", {})
         )
-        #: lazily-loaded plan-quality log (estimate-vs-actual history and
-        #: per-predicate feedback corrections from EXPLAIN ANALYZE runs)
-        self._plan_log: PlanQualityLog | None = None
-        #: heap ref of the persisted log snapshot
-        self._plan_log_ref: list | None = meta.get("catalog:plan_log")
-        #: lazily-loaded slow-query log — same snapshot idiom
-        self._slow_log: SlowQueryLog | None = None
-        self._slow_log_ref: list | None = meta.get("catalog:slow_log")
         self.segments.attach(meta.get("catalog:meta_segment", {}))
 
     # -- lifecycle ------------------------------------------------------
@@ -518,39 +654,14 @@ class Catalog:
         self.close()
 
     def _save_meta(self) -> None:
-        for name in sorted(self._stats_dirty):
-            stats = self._stats.get(name)
-            if stats is None:
-                continue
-            payload = serialization.dumps(
-                stats.to_value(), compress_arrays=False
-            )
-            ref = self.heap.put(payload, compress=True)
-            self._stats_refs[name] = list(ref.to_tuple())
-        self._stats_dirty.clear()
-        for key in sorted(self._hnsw_dirty):
-            index = self._indexes.get(key)
-            if index is None:
-                continue
-            payload = serialization.dumps(
-                index.to_value(), compress_arrays=False
-            )
-            ref = self.heap.put(payload, compress=True)
-            self._hnsw_refs[key] = list(ref.to_tuple())
-        self._hnsw_dirty.clear()
-        if self._plan_log is not None and self._plan_log.dirty:
-            payload = serialization.dumps(
-                self._plan_log.to_value(), compress_arrays=False
-            )
-            self._plan_log_ref = list(self.heap.put(payload, compress=True).to_tuple())
-            self._plan_log.dirty = False
-        if self._slow_log is not None and self._slow_log.dirty:
-            payload = serialization.dumps(
-                self._slow_log.to_value(), compress_arrays=False
-            )
-            self._slow_log_ref = list(self.heap.put(payload, compress=True).to_tuple())
-            self._slow_log.dirty = False
         meta = self.pager.get_meta()
+        for state in (
+            self._statistics,
+            self._hnsw_graphs,
+            self._plan_quality,
+            self._slow_queries,
+        ):
+            meta[state.meta_key] = state.flush()
         meta["catalog:next_id"] = self._next_id
         meta["catalog:meta_segment"] = self.segments.flush()
         meta["catalog:collections"] = sorted(self._collections)
@@ -560,17 +671,8 @@ class Catalog:
             [list(key), dict(params)]
             for key, params in sorted(self._index_params.items())
         ]
-        meta["catalog:hnsw"] = [
-            [list(key), list(ref)]
-            for key, ref in sorted(self._hnsw_refs.items())
-        ]
-        meta["catalog:stats"] = dict(self._stats_refs)
         meta["catalog:versions"] = dict(self._versions)
         meta["catalog:fresh_versions"] = dict(self._fresh_versions)
-        if self._plan_log_ref is not None:
-            meta["catalog:plan_log"] = self._plan_log_ref
-        if self._slow_log_ref is not None:
-            meta["catalog:slow_log"] = self._slow_log_ref
         if self._recovery_log:
             meta["catalog:recovery_log"] = [dict(e) for e in self._recovery_log]
         self.pager.set_meta(meta)
@@ -706,12 +808,13 @@ class Catalog:
             self._registered = [
                 key for key in self._registered if key[0] != name
             ]
-            for key in [k for k in self._indexes if k[0] == name]:
-                del self._indexes[key]
-            for store in (self._index_params, self._hnsw_refs):
+            self._multi_value = {
+                key for key in self._multi_value if key[0] != name
+            }
+            for store in (self._indexes, self._index_params):
                 for key in [k for k in store if k[0] == name]:
                     del store[key]
-            self._hnsw_dirty = {k for k in self._hnsw_dirty if k[0] != name}
+            self._hnsw_graphs.drop(lambda key: key[0] == name)
             self.drop_statistics(name)
             # replacing is a mutation even when zero rows follow (an
             # emptied base must still invalidate dependent views)
@@ -760,80 +863,20 @@ class Catalog:
     def _bump_version(self, collection_name: str) -> None:
         self._versions[collection_name] = self._versions.get(collection_name, 0) + 1
 
-    # -- plan quality (EXPLAIN ANALYZE feedback) --------------------------
-
-    def _load_snapshot(self, ref_value: list, what: str, loader):
-        """Load + decode one heap-persisted snapshot through ``loader``
-        (a ``from_value`` classmethod); every failure — checksum, short
-        read, undecodable content, a shape ``loader`` rejects — surfaces
-        as one positioned :class:`CorruptionError` so callers can
-        quarantine."""
-        ref = BlobRef.from_tuple(tuple(ref_value))
-        try:
-            return loader(serialization.loads(self.heap.get(ref)))
-        except CorruptionError:
-            raise
-        except (
-            StorageError,
-            zlib.error,
-            struct.error,
-            ValueError,
-            KeyError,
-            TypeError,
-            IndexError,
-            AttributeError,
-        ) as exc:
-            raise CorruptionError(
-                f"undecodable {what} snapshot: {exc}",
-                file=self.heap.path,
-                offset=ref.offset,
-            ) from exc
+    # -- advisory query logs ----------------------------------------------
 
     def plan_quality_log(self) -> PlanQualityLog:
         """The catalog's plan-quality log: estimate-vs-actual history per
         parameterized plan fingerprint plus per-predicate observed
-        selectivities. Lazily loaded from its persisted snapshot; flushed
-        back (when dirty) by :meth:`_save_meta` like statistics. A corrupt
-        snapshot is dropped (it is advisory history), recorded as a
-        recovery event, and the log restarts empty."""
-        if self._plan_log is None:
-            if self._plan_log_ref is not None:
-                try:
-                    self._plan_log = self._load_snapshot(
-                        self._plan_log_ref,
-                        "plan-quality log",
-                        PlanQualityLog.from_value,
-                    )
-                except CorruptionError as exc:
-                    self._plan_log_ref = None
-                    self._record_recovery_event(
-                        "plan_log_reset", detail=str(exc)
-                    )
-            if self._plan_log is None:
-                self._plan_log = PlanQualityLog()
-        return self._plan_log
+        selectivities (EXPLAIN ANALYZE feedback). Starts empty when there
+        is no snapshot or the snapshot is corrupt."""
+        return self._plan_quality.get(None, create=True)
 
     def slow_query_log(self) -> SlowQueryLog:
         """The catalog's slow-query log: bounded history of queries whose
         wall time crossed the threshold, with span trees and counter
-        deltas. Same lazy-load / dirty-flush (and corruption-reset)
-        lifecycle as the plan log."""
-        if self._slow_log is None:
-            if self._slow_log_ref is not None:
-                try:
-                    self._slow_log = self._load_snapshot(
-                        self._slow_log_ref,
-                        "slow-query log",
-                        SlowQueryLog.from_value,
-                    )
-                except CorruptionError as exc:
-                    self._slow_log_ref = None
-                    self._record_recovery_event(
-                        "slow_log_reset", detail=str(exc)
-                    )
-            if self._slow_log is None:
-                self._slow_log = SlowQueryLog()
-        return self._slow_log
+        deltas. Same lifecycle as the plan-quality log."""
+        return self._slow_queries.get(None, create=True)
 
     # -- cardinality statistics -----------------------------------------
 
@@ -851,24 +894,7 @@ class Catalog:
         scan of the collection (or dropped to the fallback constants when
         the collection itself is gone).
         """
-        stats = self._stats.get(collection_name)
-        if stats is None and collection_name in self._stats_refs:
-            try:
-                stats = self._load_snapshot(
-                    self._stats_refs[collection_name],
-                    f"statistics[{collection_name}]",
-                    CollectionStatistics.from_value,
-                )
-                self._stats[collection_name] = stats
-            except CorruptionError as exc:
-                self._stats_refs.pop(collection_name, None)
-                self._record_recovery_event(
-                    "stats_rebuilt", collection=collection_name, detail=str(exc)
-                )
-                if collection_name in self._collections:
-                    stats = self.rebuild_statistics(collection_name)
-                else:
-                    return None
+        stats = self._statistics.get(collection_name)
         if stats is not None:
             stats.staleness = self.mutations_since_fresh(collection_name)
         return stats
@@ -881,8 +907,9 @@ class Catalog:
         stats = CollectionStatistics()
         for patch in collection.scan():
             stats.observe(patch)
-        self._stats[collection_name] = stats
-        self._stats_dirty.add(collection_name)
+        # persisted even when the scan saw no rows
+        stats.dirty = True
+        self._statistics.put(collection_name, stats)
         # a full-scan rebuild re-baselines staleness: the profile now
         # reflects every row
         self._fresh_versions[collection_name] = self.collection_version(
@@ -893,9 +920,7 @@ class Catalog:
     def drop_statistics(self, collection_name: str) -> None:
         """Forget a collection's statistics (planner falls back to
         constants until they are rebuilt)."""
-        self._stats.pop(collection_name, None)
-        self._stats_refs.pop(collection_name, None)
-        self._stats_dirty.discard(collection_name)
+        self._statistics.drop(lambda key: key == collection_name)
 
     def _record_statistics(self, collection_name: str, patch: Patch) -> None:
         stats = self.statistics_for(collection_name)
@@ -907,10 +932,8 @@ class Catalog:
             # explicit rebuild_statistics
             if len(self._collections[collection_name]) != 1:
                 return
-            stats = CollectionStatistics()
-            self._stats[collection_name] = stats
+            stats = self._statistics.put(collection_name, CollectionStatistics())
         stats.observe(patch)
-        self._stats_dirty.add(collection_name)
 
     # -- indexes ------------------------------------------------------------
 
@@ -953,13 +976,18 @@ class Catalog:
         if kind == "hnsw":
             self._index_params[key] = _normalize_hnsw_params(params)
         index = self._build_index(collection, attr, kind, feature_fn, multi_value)
-        self._indexes[key] = index
+        if kind == "hnsw":
+            # the new (dirty) graph's snapshot rides the same commit as
+            # its registration
+            self._hnsw_graphs.put(key, index)
+        else:
+            self._indexes[key] = index
         if key not in self._registered:
             self._registered.append(key)
-        self._multi_value.add(key) if multi_value else None
-        if kind == "hnsw":
-            # the graph snapshot rides the same commit as its registration
-            self._hnsw_dirty.add(key)
+        if multi_value:
+            self._multi_value.add(key)
+        else:
+            self._multi_value.discard(key)
         # commit barrier: index pages + registration land atomically
         self.sync()
         return index
@@ -969,42 +997,14 @@ class Catalog:
         if key in self._indexes:
             return self._indexes[key]
         if key in self._registered:
+            if kind == "hnsw":
+                # the graph reloads from its heap snapshot, or is rebuilt
+                # from the collection when that is missing or corrupt
+                return self._hnsw_graphs.get(key, create=True)
             if kind in ("hash", "btree"):
                 # persistent structures reattach to their on-disk state;
                 # repopulating them would double every entry
-                name = f"{collection_name}.{attr}.{kind}"
-                index = (
-                    HashIndex(self.pager, name)
-                    if kind == "hash"
-                    else BTreeIndex(self.pager, name)
-                )
-            elif kind == "hnsw":
-                # the graph reloads from its heap snapshot; a corrupt
-                # snapshot is quarantined and the graph rebuilt from the
-                # collection (the source of truth), like statistics
-                index = None
-                ref = self._hnsw_refs.get(key)
-                if ref is not None:
-                    try:
-                        index = self._load_snapshot(
-                            ref,
-                            f"hnsw[{collection_name}.{attr}]",
-                            lambda value: HNSWIndex.from_value(
-                                value, metrics=self.metrics
-                            ),
-                        )
-                    except CorruptionError as exc:
-                        self._hnsw_refs.pop(key, None)
-                        self._record_recovery_event(
-                            "hnsw_rebuilt",
-                            collection=collection_name,
-                            attr=attr,
-                            detail=str(exc),
-                        )
-                if index is None:
-                    collection = self.collection(collection_name)
-                    index = self._build_index(collection, attr, kind, None)
-                    self._hnsw_dirty.add(key)
+                index = _persistent_index(self.pager, collection_name, attr, kind)
             else:
                 # multi-dimensional indexes are memory-resident: rebuild
                 collection = self.collection(collection_name)
@@ -1036,13 +1036,12 @@ class Catalog:
         feature_fn: Callable[[Patch], np.ndarray] | None,
         multi_value: bool = False,
     ):
-        name = f"{collection.name}.{attr}.{kind}"
         if kind in ("hash", "btree"):
-            index = (
-                HashIndex(self.pager, name)
-                if kind == "hash"
-                else BTreeIndex(self.pager, name)
-            )
+            index = _persistent_index(self.pager, collection.name, attr, kind)
+            # a re-created index reattaches to its previous pages: start
+            # empty so no entry is stale or doubled
+            if len(index):
+                index.clear()
             for patch in collection.scan():
                 value = patch.metadata.get(attr)
                 if value is None:
@@ -1079,39 +1078,45 @@ class Catalog:
         return BallTree(np.stack(vectors), ids=ids)
 
     def _maintain_indexes(self, collection_name: str, patch: Patch) -> None:
-        """Keep incremental indexes current as new patches arrive."""
-        for (name, attr, kind), index in list(self._indexes.items()):
-            if name != collection_name:
-                continue
-            if kind in ("hash", "btree"):
-                value = patch.metadata.get(attr)
-                if value is not None:
-                    multi = (name, attr, kind) in self._multi_value
-                    for key in _index_keys(value, multi):
-                        index.insert(key, patch.patch_id)
-            elif kind == "rtree":
-                value = patch.metadata.get(attr)
-                if value is not None:
-                    index.insert(rect_from_bbox(tuple(value)), patch.patch_id)
-            elif kind == "balltree":
-                # static structure: drop it; it rebuilds lazily on next use
-                key = (name, attr, kind)
-                self._indexes.pop(key, None)
-        # hnsw graphs grow incrementally — including registered graphs
-        # not yet resident (loaded from snapshot first). A graph that
-        # had to be *rebuilt* already scanned this patch, so the
-        # membership check keeps the add idempotent.
+        """Keep every registered index current as new patches arrive —
+        persistent and HNSW indexes too when not yet resident (they
+        reattach or load first)."""
         for key in self._registered:
             name, attr, kind = key
-            if kind != "hnsw" or name != collection_name:
+            if name != collection_name:
                 continue
-            vector = _patch_vector(patch, attr, None)
-            if vector is None:
+            if kind == "balltree" or (
+                kind == "rtree" and key not in self._indexes
+            ):
+                # memory-resident and static (or never built): it is
+                # built from the collection on next use
+                self._indexes.pop(key, None)
+                continue
+            if kind == "hnsw":
+                vector = _patch_vector(patch, attr, None)
+                if vector is None:
+                    continue
+                index = self.get_index(name, attr, kind)
+                # a graph that had to be rebuilt already scanned this
+                # patch: the membership check keeps the add idempotent
+                if patch.patch_id not in index:
+                    index.add(vector, patch.patch_id)
+                continue
+            value = patch.metadata.get(attr)
+            if value is None:
                 continue
             index = self.get_index(name, attr, kind)
-            if patch.patch_id not in index:
-                index.add(vector, patch.patch_id)
-            self._hnsw_dirty.add(key)
+            if kind == "rtree":
+                index.insert(rect_from_bbox(tuple(value)), patch.patch_id)
+            else:
+                for index_key in _index_keys(value, key in self._multi_value):
+                    index.insert(index_key, patch.patch_id)
+
+
+def _persistent_index(pager: Pager, collection_name: str, attr: str, kind: str):
+    """The pager-resident hash or B+ tree index structure for one key."""
+    name = f"{collection_name}.{attr}.{kind}"
+    return HashIndex(pager, name) if kind == "hash" else BTreeIndex(pager, name)
 
 
 def _patch_vector(patch: Patch, attr: str, feature_fn) -> np.ndarray | None:

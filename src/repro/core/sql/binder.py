@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Union
 
 from repro.core import logical
+from repro.core.catalog import INDEX_KINDS
 from repro.core.expressions import (
     And,
     Between,
@@ -310,6 +311,12 @@ class Binder:
             return BoundDropView(self.session, statement.name)
         if isinstance(statement, ast.CreateIndex):
             self._collection(statement.collection, statement)
+            if statement.kind not in INDEX_KINDS:
+                raise self._error(
+                    f"unknown index kind {statement.kind!r}; expected one "
+                    f"of {INDEX_KINDS}",
+                    statement,
+                )
             params: dict[str, int | float] = {}
             for name, value in statement.params:
                 if name in params:

@@ -180,7 +180,8 @@ class _Parser:
             kind = "btree"
             params: list[tuple[str, int | float]] = []
             if self._accept(KEYWORD, "USING"):
-                kind = self._name("index kind")
+                # kinds are case-insensitive, like keywords
+                kind = self._name("index kind").lower()
                 if self._accept(PUNCT, "("):
                     while True:
                         param = self._name("parameter name")

@@ -468,11 +468,14 @@ class CollectionStatistics:
         #: snapshot (it is bookkeeping about the *collection*, not part of
         #: the statistical profile, so it stays out of ``to_value``)
         self.staleness = 0
+        #: set on observe; cleared by the catalog after each snapshot
+        self.dirty = False
 
     # -- collection -----------------------------------------------------
 
     def observe(self, patch: Patch) -> None:
         """Fold one materialized patch into the statistics."""
+        self.dirty = True
         self.row_count += 1
         if patch.data.size:
             self.data_count += 1

@@ -224,17 +224,3 @@ class TrafficCamDataset:
             for box in self.scene.all_ground_truth()
             if box.category == "person"
         }
-
-    def behind_pairs(self, frame: int, margin: float = 1.0) -> set[tuple[str, str]]:
-        """q6 truth: pedestrian identity pairs (behind, front) in ``frame``."""
-        people = [
-            box for box in self.scene.ground_truth(frame) if box.category == "person"
-        ]
-        return {
-            (a.object_id, b.object_id)
-            for a in people
-            for b in people
-            if a.object_id != b.object_id and a.depth > b.depth + margin
-        }
-
-

@@ -190,9 +190,6 @@ class BallTree:
         visit(0)
         return [(dist, self.ids[row]) for dist, row in best]
 
-    def count_radius(self, query: np.ndarray, radius: float) -> int:
-        return len(self.query_radius(query, radius))
-
     def query_radius_batch(
         self, queries: np.ndarray, radius: float
     ) -> list[list]:

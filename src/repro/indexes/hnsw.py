@@ -104,6 +104,8 @@ class HNSWIndex:
         self.last_stats: dict[str, int] = {"hops": 0, "candidates": 0}
         self._hops = 0
         self._candidates = 0
+        #: set on add; cleared by the catalog after each snapshot
+        self.dirty = False
         self.set_metrics(metrics)
 
     # -- telemetry ------------------------------------------------------
@@ -223,6 +225,7 @@ class HNSWIndex:
         """Insert one vector under ``patch_id`` (incremental — this is
         what ``MaterializedCollection.add`` calls as new patches land)."""
         v = self._check_vector(vector)
+        self.dirty = True
         pos = self._n
         if pos == len(self._vectors):  # grow geometrically
             grown = np.empty(

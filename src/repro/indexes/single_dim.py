@@ -42,6 +42,9 @@ class HashIndex:
         payload = None if patch_id is None else _pack_id(patch_id)
         return self._store.delete(key, payload)
 
+    def clear(self) -> None:
+        self._store.clear()
+
     def __len__(self) -> int:
         return len(self._store)
 
@@ -88,6 +91,9 @@ class BTreeIndex:
     def delete(self, key: Any, patch_id: int | None = None) -> int:
         payload = None if patch_id is None else _pack_id(patch_id)
         return self._store.delete(key, payload)
+
+    def clear(self) -> None:
+        self._store.clear()
 
     def __len__(self) -> int:
         return len(self._store)

@@ -45,12 +45,7 @@ class HashFile:
         state = meta.get(self._meta_key)
         if state is None:
             self.n_buckets = n_buckets
-            self._directory = [pager.allocate() for _ in range(n_buckets)]
-            for page_id in self._directory:
-                self._write_bucket(page_id, _NO_PAGE, [])
-            self._count = 0
-            self._dir_pages = self._write_directory()
-            self._save_state()
+            self.clear()
         else:
             self.n_buckets = state["n_buckets"]
             self._count = state["count"]
@@ -133,6 +128,16 @@ class HashFile:
                 for key_bytes, value in entries:
                     yield serialization.decode_key(key_bytes), value
                 page_id = next_page
+
+    def clear(self) -> None:
+        """Drop every entry (old pages are leaked until compaction)."""
+        self._directory = [self.pager.allocate() for _ in range(self.n_buckets)]
+        for page_id in self._directory:
+            self._write_bucket(page_id, _NO_PAGE, [])
+        self._count = 0
+        self._dir_pages = self._write_directory()
+        self._state_dirty = True
+        self._save_state()
 
     def sync(self) -> None:
         self._save_state()

@@ -142,6 +142,64 @@ class TestCatalog:
             assert len(index.lookup("ALPHA")) == 4
             assert len(index.lookup("W2")) == 1
 
+    @pytest.mark.parametrize("kind", ["hash", "btree"])
+    def test_recreated_index_has_no_stale_entries(self, tmp_path, kind):
+        with Catalog(tmp_path) as catalog:
+            collection = catalog.materialize(make_patches(12), "c")
+            catalog.create_index("c", "label", kind)
+            catalog.create_index("c", "label", kind)
+            found = collection.lookup("label", "vehicle", kind)
+            assert sorted(p.patch_id for p in found) == [0, 3, 6, 9]
+        with Catalog(tmp_path) as catalog:
+            found = catalog.collection("c").lookup("label", "vehicle", kind)
+            assert sorted(p.patch_id for p in found) == [0, 3, 6, 9]
+
+    @pytest.mark.parametrize("kind", ["hash", "btree"])
+    def test_add_after_reopen_maintains_index(self, tmp_path, kind):
+        with Catalog(tmp_path) as catalog:
+            catalog.materialize(make_patches(4), "c")
+            catalog.create_index("c", "label", kind)
+        extra = Patch.from_frame("vid", 99, np.zeros((4, 4, 3), np.uint8))
+        extra.metadata["label"] = "vehicle"
+        with Catalog(tmp_path) as catalog:
+            # the index is registered but not resident yet
+            added = catalog.collection("c").add(extra)
+        with Catalog(tmp_path) as catalog:
+            found = catalog.collection("c").lookup("label", "vehicle", kind)
+            assert sorted(p.patch_id for p in found) == [0, 3, added]
+
+    @pytest.mark.parametrize("kind", ["hash", "btree"])
+    def test_index_recreated_after_replace_sees_new_contents(
+        self, tmp_path, kind
+    ):
+        with Catalog(tmp_path) as catalog:
+            catalog.materialize(make_patches(12), "c")
+            catalog.create_index("c", "label", kind)
+            collection = catalog.materialize(make_patches(4), "c", replace=True)
+            catalog.create_index("c", "label", kind)
+            found = collection.lookup("label", "vehicle", kind)
+            assert sorted(p.patch_id for p in found) == [12, 15]
+
+    def test_replace_forgets_multi_value_flag(self, tmp_path):
+        def token_patches(start):
+            for i in range(start, start + 2):
+                patch = Patch.from_frame("doc", i, np.zeros((4, 4, 3), np.uint8))
+                patch.metadata["tokens"] = ("ALPHA", f"W{i}")
+                yield patch
+
+        with Catalog(tmp_path) as catalog:
+            catalog.materialize(token_patches(0), "texts")
+            catalog.create_index("texts", "tokens", "hash", multi_value=True)
+            collection = catalog.materialize(
+                token_patches(2), "texts", replace=True
+            )
+            index = catalog.create_index("texts", "tokens", "hash")
+            added = collection.add(next(token_patches(4)))
+            # a plain index keys the whole tuple, on build and on add
+            assert index.lookup(("ALPHA", "W2")) == [2]
+            assert index.lookup(("ALPHA", "W4")) == [added]
+            assert index.lookup("ALPHA") == []
+
     def test_multi_value_requires_hash_or_btree(self, tmp_path):
         with Catalog(tmp_path) as catalog:
             catalog.materialize(make_patches(2), "c")

@@ -200,6 +200,7 @@ class TestParser:
         assert parse("DROP VIEW v") == ast.DropView("v")
         index = parse("CREATE INDEX ON c (label) USING hash")
         assert (index.collection, index.attr, index.kind) == ("c", "label", "hash")
+        assert parse("CREATE INDEX ON c (emb) USING HNSW").kind == "hnsw"
         assert parse("CREATE INDEX ON c (score)").kind == "btree"
         assert parse("SHOW COLLECTIONS") == ast.Show("collections")
         assert parse("SHOW VIEWS;") == ast.Show("views")
@@ -246,6 +247,8 @@ FIXED_ROUND_TRIPS = [
     "REFRESH VIEW v",
     "DROP VIEW v",
     "CREATE INDEX ON c (label) USING hash",
+    "CREATE INDEX ON c (label) USING HASH",
+    "CREATE INDEX ON c (emb) USING HNSW (m = 8, ef = 48)",
     "SHOW STATS FOR c",
 ]
 
@@ -433,6 +436,12 @@ class TestBinder:
         assert "nope" in str(excinfo.value)
         assert (excinfo.value.line, excinfo.value.column) == (1, 15)
         assert "^" in str(excinfo.value)
+
+    def test_unknown_index_kind(self, db):
+        with pytest.raises(BindError, match="unknown index kind") as excinfo:
+            db.sql("CREATE INDEX ON c (label) USING QuadTree")
+        assert "'quadtree'" in str(excinfo.value)
+        assert (excinfo.value.line, excinfo.value.column) == (1, 1)
 
     def test_unknown_udf(self, db):
         with pytest.raises(BindError, match="no registered UDF"):
@@ -625,6 +634,10 @@ class TestExecutionEquivalence:
         assert "hash-lookup" in [c.kind for c in sql_explain.candidates]
         assert sql_explain.chosen.kind == fluent_explain.chosen.kind
         assert str(sql_explain) == str(fluent_explain)
+
+    def test_index_kind_is_case_insensitive(self, db):
+        db.sql("CREATE INDEX ON c (score) USING BTree")
+        assert db.catalog.has_index("c", "score", "btree")
 
     def test_similarity_join_matches_fluent(self, db):
         sql_rows = db.sql(

@@ -16,7 +16,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core import DeepLens
+from repro.core import Attr, DeepLens
 from repro.core.catalog import Catalog
 from repro.core.patch import Patch
 from repro.errors import CorruptionError, StorageError
@@ -191,25 +191,101 @@ def test_corrupt_sealed_block_mid_scan_resumes_without_dup_or_loss(
         assert "segment_quarantined" in kinds
 
 
-def test_corrupt_stats_snapshot_rebuilds_from_scan(tmp_path):
-    _seed(tmp_path)
-    with Catalog(tmp_path, durability="flush") as catalog:
-        good = catalog.statistics_for("base")
-        assert good is not None
-        row_count = good.row_count
-        # corrupt the persisted snapshot in place: point its ref at a
-        # blob that is not a statistics payload
-        bogus = catalog.heap.put(b"not a stats snapshot")
-        catalog._stats_refs["base"] = list(bogus.to_tuple())
-        catalog._stats.pop("base", None)
-        rebuilt = catalog.statistics_for("base")
-        assert rebuilt is not None
-        assert rebuilt.row_count == row_count
+def _seed_derived(workdir):
+    """A database holding one snapshot of every derived-state kind:
+    statistics, an HNSW graph, a plan-quality log, a slow-query log."""
+    with DeepLens(workdir, durability="flush", slow_query_threshold=0.0) as db:
+        patches = list(_patches(40))
+        rng = np.random.default_rng(7)
+        for patch in patches:
+            patch.metadata["emb"] = [float(x) for x in rng.normal(size=4)]
+        db.materialize(patches, "base")
+        db.create_index("base", "emb", "hnsw", params={"m": 4, "ef": 16})
+        db.scan("base").filter(Attr("label") == "car").explain(analyze=True)
+        db.sql("SELECT * FROM base WHERE label = 'car'")
+    return os.path.join(workdir, "catalog")
+
+
+def _top5(catalog):
+    index = catalog.get_index("base", "emb", "hnsw")
+    return [pid for _, pid in index.search(np.full(4, 0.5), 5)]
+
+
+#: kind -> (meta key, snapshot key, recovery event, observed value)
+DERIVED_KINDS = {
+    "stats": (
+        "catalog:stats", "base", "stats_rebuilt",
+        lambda catalog: catalog.statistics_for("base").row_count,
+    ),
+    "hnsw": ("catalog:hnsw", ("base", "emb", "hnsw"), "hnsw_rebuilt", _top5),
+    "plan_log": (
+        "catalog:plan_log", None, "plan_log_reset",
+        lambda catalog: catalog.plan_quality_log().to_value()["plans"],
+    ),
+    "slow_log": (
+        "catalog:slow_log", None, "slow_log_reset",
+        lambda catalog: catalog.slow_query_log().entries(),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DERIVED_KINDS))
+def test_corrupt_derived_snapshot_is_repaired_once(tmp_path, kind):
+    meta_key, key, event, observe = DERIVED_KINDS[kind]
+    workdir = _seed_derived(tmp_path)
+    with Catalog(workdir, durability="flush") as catalog:
+        before = observe(catalog)
+        offset = catalog.pager.get_meta()[meta_key][key][0]
+    assert before, "the seed must leave a non-empty snapshot"
+    # one flipped byte inside the snapshot's payload (past the 13-byte
+    # record header) fails its checksum
+    _flip_bit(os.path.join(workdir, "patches.heap"), offset + 14)
+    with Catalog(workdir, durability="flush") as catalog:
+        repaired = observe(catalog)
         kinds = [e["kind"] for e in catalog.recovery_report()["events"]]
-        assert "stats_rebuilt" in kinds
+    assert event in kinds
+    if kind in ("stats", "hnsw"):
+        # rebuilt from the collection: same row count, same graph
+        assert repaired == before
+    else:
+        # advisory history restarts empty
+        assert repaired == []
+    # the repair is persisted: a clean reopen records nothing
+    with Catalog(workdir, durability="flush") as catalog:
+        assert observe(catalog) == repaired
+        assert catalog.recovery_report()["events"] == []
+        history = [e["kind"] for e in catalog.recovery_report()["history"]]
+    assert history.count(event) == 1
 
 
 # -- format back-compat: v1 files open with checksums off ---------------
+
+
+def test_pre_registry_meta_shapes_reopen_intact(tmp_path):
+    """Older catalogs stored each HNSW ref as a ``[key, ref]`` pair in a
+    list and each log's ref bare; they reopen with every snapshot."""
+    workdir = _seed_derived(tmp_path)
+
+    def observe_all(catalog):
+        return {kind: spec[3](catalog) for kind, spec in DERIVED_KINDS.items()}
+
+    with Catalog(workdir, durability="flush") as catalog:
+        expected = observe_all(catalog)
+    pager = Pager(os.path.join(workdir, "catalog.db"))
+    meta = pager.get_meta()
+    meta["catalog:hnsw"] = [
+        [list(key), ref] for key, ref in meta["catalog:hnsw"].items()
+    ]
+    for log_key in ("catalog:plan_log", "catalog:slow_log"):
+        meta[log_key] = meta[log_key][None]
+    pager.set_meta(meta)
+    pager.sync()
+    pager.close()
+    with Catalog(workdir, durability="flush") as catalog:
+        assert observe_all(catalog) == expected
+        # loaded from its snapshot, not silently rebuilt
+        assert not catalog.get_index("base", "emb", "hnsw").dirty
+        assert catalog.recovery_report()["events"] == []
 
 
 def test_v1_pager_file_opens_without_checksums(tmp_path):

@@ -276,6 +276,21 @@ class TestHashFile:
         hf.put("b", b"2")
         assert sorted(hf.items()) == [("a", b"1"), ("b", b"2")]
 
+    def test_clear(self, tmp_path):
+        path = tmp_path / "hash.db"
+        with Pager(path) as pg:
+            hf = HashFile(pg, "labels", n_buckets=4)
+            for i in range(50):
+                hf.put(i % 5, b"old")
+            hf.clear()
+            assert len(hf) == 0
+            assert hf.get(3) == []
+            hf.put(3, b"new")
+        with Pager(path) as pg:
+            hf = HashFile(pg, "labels")
+            assert len(hf) == 1
+            assert sorted(hf.items()) == [(3, b"new")]
+
     def test_rejects_bad_bucket_count(self, pager):
         with pytest.raises(StorageError, match="power of two"):
             HashFile(pager, "bad", n_buckets=3)
