@@ -256,7 +256,10 @@ def _encode_key_into(out: bytearray, value: Any) -> None:
                 f"integer key {value} exceeds 2**53; order encoding would be lossy"
             )
         out.append(_K_NUM)
-        out += _orderable_double(float(value))
+        # -0.0 == 0.0 == 0, so all three must share one image; otherwise
+        # the int-before-float discriminator is overruled by the sign bit
+        # and (0, x) would sort after (-0.0, y).
+        out += _orderable_double(float(value) + 0.0)
         # A trailing discriminator restores the exact Python type on decode
         # (1 vs 1.0 encode to the same double image). It participates in
         # the byte order, so numerically equal keys of different types

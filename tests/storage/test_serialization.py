@@ -151,6 +151,11 @@ class TestKeyEncoding:
         assert isinstance(ser.decode_key(ser.encode_key(5)), int)
         assert isinstance(ser.decode_key(ser.encode_key(5.0)), float)
 
+    def test_negative_zero_shares_zero_image(self):
+        assert ser.encode_key(-0.0) == ser.encode_key(0.0)
+        assert ser.encode_key((0, None)) < ser.encode_key((-0.0, None))
+        assert ser.encode_key(-0.0) < ser.encode_key(5e-324)
+
     def test_strings_with_nuls(self):
         a, b = "a\x00b", "a\x00c"
         assert ser.decode_key(ser.encode_key(a)) == a
