@@ -37,9 +37,10 @@ from repro.core.catalog import MaterializedCollection
 from repro.core.expressions import Attr
 from repro.core.operators import (
     BallTreeSimilarityJoin,
-    CollectionScan,
+    Fetch,
     IndexEqJoin,
     IteratorScan,
+    MetadataScan,
     NestedLoopJoin,
     Select,
     cluster_pairs,
@@ -230,16 +231,15 @@ def q2_vehicle_frames(workload: TrafficWorkload, plan: str = "baseline") -> Quer
     with Timer() as timer:
         if plan == "baseline":
             operator = Select(
-                CollectionScan(detections, load_data=False),
-                Attr("label") == "vehicle",
+                MetadataScan(detections), Attr("label") == "vehicle"
             )
             frames = {patch["frameno"] for (patch,) in operator}
         elif plan == "optimized":
             index = detections.index("label", "hash")
-            frames = {
-                detections.get(patch_id, load_data=False)["frameno"]
-                for patch_id in index.lookup("vehicle")
-            }
+            vehicles = detections.get_many(
+                index.lookup("vehicle"), load_data=False
+            )
+            frames = {patch["frameno"] for patch in vehicles}
         else:
             raise QueryError(f"unknown q2 plan {plan!r}")
         answer = len(frames)
@@ -293,12 +293,13 @@ def q3_player_trajectory(
                         break
         elif plan == "optimized":
             index = jerseys.index("text", "hash")
-            for patch_id in index.lookup(number):
-                hit = jerseys.get(patch_id, load_data=False)
-                parent_id = hit.img_ref.parent_id
-                if parent_id is None:
-                    continue
-                player = players.get(parent_id, load_data=False)
+            hits = jerseys.get_many(index.lookup(number), load_data=False)
+            parent_ids = [
+                hit.img_ref.parent_id
+                for hit in hits
+                if hit.img_ref.parent_id is not None
+            ]
+            for player in players.get_many(parent_ids, load_data=False):
                 trajectory.add((player["source"], player["frameno"]))
         else:
             raise QueryError(f"unknown q3 plan {plan!r}")
@@ -476,7 +477,7 @@ def q5_string_lookup(
     with Timer() as timer:
         if plan not in ("baseline", "optimized"):
             raise QueryError(f"unknown q5 plan {plan!r}")
-        operator = Select(CollectionScan(texts), Attr("text").contains(target))
+        operator = Select(MetadataScan(texts), Attr("text").contains(target))
         first = None
         best_frame = None
         for (patch,) in operator:
@@ -570,14 +571,13 @@ def q6_behind_pairs(
                     "q6 optimized plan needs the prepared person collection"
                 )
             join = IndexEqJoin(
-                CollectionScan(persons, load_data=False),
+                MetadataScan(persons),
                 persons,
                 left_key=lambda patch: patch["frameno"],
                 right_attr="frameno",
                 kind="btree",
-                load_data=False,
             )
-            for a, b in join:
+            for a, b in Fetch(persons, join, on=1, load_data=False):
                 if a.patch_id != b.patch_id and is_behind(a, b):
                     if (a.patch_id, b.patch_id) not in matched:
                         matched.add((a.patch_id, b.patch_id))

@@ -122,16 +122,7 @@ class MaterializedCollection:
         return patch_id
 
     def get(self, patch_id: int, *, load_data: bool = True) -> Patch:
-        if not load_data:
-            return self.get_many([patch_id], load_data=False)[0]
-        if self._ref_map is None:
-            self._ref_map = {pid: payload for pid, payload in self._tree.items()}
-        payload = self._ref_map.get(patch_id)
-        if payload is None:
-            raise QueryError(
-                f"patch {patch_id} not in collection {self.name!r}"
-            )
-        return self._load(patch_id, payload, load_data)
+        return self.get_many([patch_id], load_data=load_data)[0]
 
     def get_many(
         self, patch_ids: Iterable[int], *, load_data: bool = True
@@ -155,11 +146,10 @@ class MaterializedCollection:
                     f"patch {exc.args[0]} not in collection {self.name!r}"
                 ) from None
             return [self._patch_from_metadata(*row) for row in rows]
-        if self._ref_map is None:
-            self._ref_map = {pid: payload for pid, payload in self._tree.items()}
+        refs = self._refs()
         chunk: list[tuple[int, bytes]] = []
         for patch_id in ids:
-            payload = self._ref_map.get(patch_id)
+            payload = refs.get(patch_id)
             if payload is None:
                 raise QueryError(
                     f"patch {patch_id} not in collection {self.name!r}"
@@ -182,8 +172,7 @@ class MaterializedCollection:
     ) -> Iterator[list[Patch]]:
         """Scan in id order, decoding a whole batch per heap trip.
 
-        The vectorized storage path behind ``CollectionScan.iter_batches``:
-        each batch resolves its blob refs up front and reads them through
+        Each batch resolves its blob refs up front and reads them through
         :meth:`BlobHeap.multi_get`, so a cold scan issues a few coalesced
         reads per ``size`` patches instead of a heap round-trip each.
         ``load_data=False`` never touches the patch heap at all: batches
@@ -317,14 +306,14 @@ class MaterializedCollection:
             for (patch_id, _), record in zip(chunk, records)
         ]
 
-    def ids(self) -> list[int]:
-        return [patch_id for patch_id, _ in self._tree.items()]
+    def _refs(self) -> dict[int, bytes]:
+        """The memory-resident id -> heap-ref map, in id order."""
+        if self._ref_map is None:
+            self._ref_map = dict(self._tree.items())
+        return self._ref_map
 
-    def _load(self, patch_id: int, payload: bytes, load_data: bool = True) -> Patch:
-        ref = BlobRef.from_tuple(tuple(serialization.loads(payload)))
-        return Patch.from_record(
-            self.catalog.heap.get(ref), patch_id=patch_id, with_data=load_data
-        )
+    def ids(self) -> list[int]:
+        return list(self._refs())
 
     # -- index access ---------------------------------------------------
 
@@ -1020,6 +1009,11 @@ class Catalog:
     def has_index(self, collection_name: str, attr: str, kind: str) -> bool:
         return (collection_name, attr, kind) in self._registered
 
+    def is_multi_value(self, collection_name: str, attr: str, kind: str) -> bool:
+        """Whether the index maps each *element* of the attribute (an
+        inverted "contains" index) rather than the value itself."""
+        return (collection_name, attr, kind) in self._multi_value
+
     def indexes(self) -> list[tuple[str, str, str]]:
         return list(self._registered)
 
@@ -1148,7 +1142,8 @@ def _normalize_hnsw_params(params: dict | None) -> dict:
 
 
 def _index_keys(value, multi_value: bool) -> list:
-    """Keys contributed by one attribute value (inverted when multi-value)."""
+    """Keys contributed by one attribute value (inverted when multi-value,
+    each distinct element once)."""
     if multi_value and isinstance(value, (tuple, list)):
-        return list(value)
+        return list(dict.fromkeys(value))
     return [value]

@@ -19,7 +19,6 @@ from repro.core.operators.joins import (
     BallTreeSimilarityJoin,
     IndexEqJoin,
     NestedLoopJoin,
-    RTreeOverlapJoin,
     SwapSides,
 )
 from repro.core.operators.profiled import (
@@ -27,11 +26,13 @@ from repro.core.operators.profiled import (
     ProfiledOperator,
 )
 from repro.core.operators.scans import (
+    AllIds,
+    AnnProbe,
     AnnTopKExact,
-    AnnTopKScan,
-    CollectionScan,
-    IndexLookupScan,
-    IndexRangeScan,
+    Fetch,
+    IdSource,
+    IndexLookup,
+    IndexRange,
     IteratorScan,
     Limit,
     MapPatches,
@@ -42,18 +43,20 @@ from repro.core.operators.scans import (
 )
 
 __all__ = [
+    "AllIds",
+    "AnnProbe",
     "AnnTopKExact",
-    "AnnTopKScan",
     "BallTreeSimilarityJoin",
     "Batch",
-    "CollectionScan",
     "DEFAULT_BATCH_SIZE",
     "Distinct",
     "DistinctCount",
+    "Fetch",
     "GroupBy",
+    "IdSource",
     "IndexEqJoin",
-    "IndexLookupScan",
-    "IndexRangeScan",
+    "IndexLookup",
+    "IndexRange",
     "InputProbe",
     "IteratorScan",
     "Limit",
@@ -64,7 +67,6 @@ __all__ = [
     "OrderBy",
     "ProfiledOperator",
     "Project",
-    "RTreeOverlapJoin",
     "Select",
     "SwapSides",
     "UnionFind",

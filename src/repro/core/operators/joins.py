@@ -7,8 +7,9 @@ Three families, exactly the paper's menu:
 * :class:`IndexEqJoin` — "If a multi-dimensional or single dimensional
   index is available, we can use that index to enable equality joins,
   range joins, or similarity joins"; probes a hash/B+ index on the right
-  collection with a key from each left patch. :class:`RTreeOverlapJoin`
-  is the spatial variant for bbox intersection predicates.
+  collection with a key from each left patch, and a
+  :class:`~repro.core.operators.scans.Fetch` turns the matched ids into
+  patches.
 * :class:`BallTreeSimilarityJoin` — the similarity join. With a prebuilt
   index it probes it; without one it implements the "On-The-Fly Index
   Similarity Join": "We load the smaller relation into an in-memory
@@ -25,7 +26,7 @@ from repro.core.catalog import MaterializedCollection
 from repro.core.operators.base import Operator
 from repro.core.patch import Patch, Row
 from repro.errors import QueryError
-from repro.indexes import BallTree, RTree, rect_from_bbox
+from repro.indexes import BallTree
 
 
 class NestedLoopJoin(Operator):
@@ -58,7 +59,12 @@ class NestedLoopJoin(Operator):
 
 
 class IndexEqJoin(Operator):
-    """Equality join probing a hash/B+ index on the right collection."""
+    """Equality join probing a hash/B+ index on the right collection.
+
+    Rows are ``(left patch, right patch id)``: stack
+    ``Fetch(right, join, on=1)`` on top to turn the ids into patches,
+    with or without pixels.
+    """
 
     def __init__(
         self,
@@ -68,7 +74,6 @@ class IndexEqJoin(Operator):
         left_key: Callable[[Patch], object],
         right_attr: str,
         kind: str = "hash",
-        load_data: bool = True,
     ) -> None:
         if left.arity != 1:
             raise QueryError("IndexEqJoin expects an arity-1 left input")
@@ -77,59 +82,16 @@ class IndexEqJoin(Operator):
         self.left_key = left_key
         self.right_attr = right_attr
         self.kind = kind
-        self.load_data = load_data
         self.arity = 2
 
     def __iter__(self) -> Iterator[Row]:
         index = self.right.index(self.right_attr, self.kind)
-        cache: dict[int, Patch] = {}
         for (left_patch,) in self.left:
             key = self.left_key(left_patch)
             if key is None:
                 continue
             for patch_id in index.lookup(key):
-                if patch_id not in cache:
-                    cache[patch_id] = self.right.get(
-                        patch_id, load_data=self.load_data
-                    )
-                yield (left_patch, cache[patch_id])
-
-
-class RTreeOverlapJoin(Operator):
-    """Spatial join: pairs whose bounding boxes intersect (same frame is the
-    caller's responsibility — compose with an equality key or filter)."""
-
-    def __init__(
-        self,
-        left: Operator,
-        right: MaterializedCollection,
-        *,
-        bbox_attr: str = "bbox",
-        expand: float = 0.0,
-    ) -> None:
-        if left.arity != 1:
-            raise QueryError("RTreeOverlapJoin expects an arity-1 left input")
-        self.left = left
-        self.right = right
-        self.bbox_attr = bbox_attr
-        self.expand = expand
-        self.arity = 2
-
-    def __iter__(self) -> Iterator[Row]:
-        index: RTree = self.right.index(self.bbox_attr, "rtree")
-        for (left_patch,) in self.left:
-            bbox = left_patch.metadata.get(self.bbox_attr)
-            if bbox is None:
-                continue
-            x1, y1, x2, y2 = bbox
-            rect = rect_from_bbox(
-                (x1 - self.expand, y1 - self.expand, x2 + self.expand, y2 + self.expand)
-            )
-            for patch_id in index.search_intersect(rect):
-                right_patch = self.right.get(patch_id)
-                if _same_patch(left_patch, right_patch):
-                    continue
-                yield (left_patch, right_patch)
+                yield (left_patch, patch_id)
 
 
 class BallTreeSimilarityJoin(Operator):

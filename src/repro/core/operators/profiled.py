@@ -7,9 +7,10 @@ Two transparent operators inserted by the lowering when an
 * :class:`ProfiledOperator` wraps a lowered operator and times each pull,
   counting output rows and batches into its
   :class:`~repro.core.profile.OperatorProfile` entry;
-* :class:`InputProbe` sits at the *base* of a scan group (between the
-  storage scan and its residual selects) and counts the rows the storage
-  layer actually produced — which for index scans is the probe count.
+* :class:`InputProbe` sits at the *base* of a scan group (directly above
+  the access-path source, below its Fetch and residual selects) and
+  counts the rows the source actually produced — which for index
+  sources is the probe count.
 
 Both forward ``child``/``arity``/``pipeline_breaker`` so structural walks
 (`Limit`'s breaker detection, prefetch eligibility) see through them, and
@@ -79,9 +80,9 @@ class ProfiledOperator(Operator):
 class InputProbe(Operator):
     """Counts ``child``'s output as a profile entry's *input* rows.
 
-    Inserted directly above the storage scan of a profiled scan group;
-    with ``index_probes=True`` (index-backed scans) every row counted is
-    also an index probe.
+    Inserted directly above the source of a profiled scan group; with
+    ``index_probes=True`` (index sources) every row counted is also an
+    index probe.
     """
 
     def __init__(

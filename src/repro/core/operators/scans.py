@@ -1,17 +1,30 @@
-"""Scan-side operators: collection scans, index scans, selection, mapping.
+"""Scan-side operators: access-path sources, the Fetch, selection, mapping.
 
-Scans are the leaves of every plan. Three access paths exist for a
-materialized collection, mirroring Section 3.2's index menu:
+Every access path of a materialized collection is a *source* that
+names patch ids, and one :class:`Fetch` turns those ids into patches —
+Section 3.2's index menu, run as "search the metadata first, then fetch
+the blobs":
 
-* :class:`CollectionScan` — full scan in patch-id order;
-* :class:`IndexLookupScan` — hash/B+ point lookup (``attr == value``);
-* :class:`IndexRangeScan` — B+/sorted-file range (``lo <= attr <= hi``).
+* :class:`AllIds` — every id in id order (the full scan);
+* :class:`IndexLookup` — hash/B+ point lookup (``attr == value``);
+* :class:`IndexRange` — B+ range (``lo <= attr <= hi``);
+* :class:`AnnProbe` — HNSW or Ball-tree top-k, nearest first;
+* :class:`MetadataScan` — the columnar metadata segment, skipping sealed
+  blocks by zone map; with a :class:`Select` on top, its surviving rows
+  name the ids to fetch.
+
+A plan that reads no pixels stops at the segment: a MetadataScan needs
+no Fetch, and an id source gets ``Fetch(load_data=False)``, which also
+answers from the segment. Predicates that may read pixels run above the
+Fetch.
 """
 
 from __future__ import annotations
 
+from abc import abstractmethod
+from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -64,29 +77,64 @@ class IteratorScan(Operator):
         yield from super().iter_batches(size)
 
 
-class CollectionScan(Operator):
-    """Full scan of a materialized collection.
+class Fetch(Operator):
+    """The one place an access path's patch ids become patches.
 
-    ``load_data=False`` projects out the pixel/feature payload — correct
-    whenever downstream operators only touch metadata.
+    Position ``on`` of each ``child`` row holds a patch id, or a patch
+    whose ``patch_id`` is used (the surviving rows of a segment scan),
+    and is replaced by the fetched patch: one coalesced
+    :meth:`MaterializedCollection.get_many` heap trip per batch.
+    ``load_data=False`` reads the metadata segment instead (no heap).
     """
 
+    #: first fetch of the row path — small, so an early-exiting consumer
+    #: (a limit) never pays for a full default-sized batch of decodes
+    ROW_PATH_INITIAL_FETCH = 8
+
     def __init__(
-        self, collection: MaterializedCollection, *, load_data: bool = True
+        self,
+        collection: MaterializedCollection,
+        child: Operator,
+        *,
+        on: int = 0,
+        load_data: bool = True,
     ) -> None:
+        if not 0 <= on < child.arity:
+            raise QueryError(f"fetch on position {on} of arity-{child.arity} rows")
         self.collection = collection
+        self.child = child
+        self.on = on
         self.load_data = load_data
+        self.arity = child.arity
 
     def __iter__(self) -> Iterator[Row]:
-        return as_rows(self.collection.scan(load_data=self.load_data))
+        # coalesced like the batched path, but with geometrically growing
+        # chunks: a consumer that stops after a few rows decodes ~8
+        # patches, a consumer that drains everything converges on
+        # full-size coalesced fetches
+        rows = iter(self.child)
+        size = self.ROW_PATH_INITIAL_FETCH
+        while True:
+            chunk = list(islice(rows, size))
+            if not chunk:
+                return
+            yield from self._fetch(chunk)
+            size = min(size * 2, DEFAULT_BATCH_SIZE)
 
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        # the vectorized storage path: each batch is decoded in one
-        # coalesced heap trip instead of a round-trip per patch
-        for patches in self.collection.scan_batches(
-            size, load_data=self.load_data
-        ):
-            yield [(patch,) for patch in patches]
+        for batch in self.child.iter_batches(size):
+            yield self._fetch(batch)
+
+    def _fetch(self, rows: Batch) -> Batch:
+        on = self.on
+        patches = self.collection.get_many(
+            [getattr(row[on], "patch_id", row[on]) for row in rows],
+            load_data=self.load_data,
+        )
+        return [
+            row[:on] + (patch,) + row[on + 1 :]
+            for row, patch in zip(rows, patches)
+        ]
 
 
 class MetadataScan(Operator):
@@ -105,7 +153,6 @@ class MetadataScan(Operator):
     ) -> None:
         self.collection = collection
         self.expr = expr
-        self.load_data = False
         #: optional ``(skipped, scanned)`` callback the lowerer wires to
         #: the operator's profile entry, grading the zone-map skip
         #: estimate against what the scan actually skipped
@@ -122,132 +169,93 @@ class MetadataScan(Operator):
             yield [(patch,) for patch in patches]
 
 
-class _IndexScan(Operator):
-    """Shared batched fetch path of the index access scans: the index
-    yields patch ids, batches of ids become patches through one coalesced
-    ``get_many`` heap trip each."""
+class IdSource(Operator):
+    """An access path that yields ``(patch_id,)`` rows, from its
+    ``ids()``, for a :class:`Fetch` to turn into patches."""
 
     collection: MaterializedCollection
-    load_data: bool
 
-    #: first fetch of the row path — small, so an early-exiting consumer
-    #: (a limit) never pays for a full default-sized batch of decodes
-    ROW_PATH_INITIAL_FETCH = 8
-
-    def _ids(self) -> Iterator[int]:
-        raise NotImplementedError
+    @abstractmethod
+    def ids(self) -> Iterable[int]:
+        """The patch ids this access path names, in its output order."""
 
     def __iter__(self) -> Iterator[Row]:
-        # coalesced like the batched path, but with geometrically growing
-        # chunks: a consumer that stops after a few rows decodes ~8
-        # patches, a consumer that drains everything converges on
-        # full-size coalesced fetches
-        ids = self._ids()
-        size = self.ROW_PATH_INITIAL_FETCH
-        while True:
-            chunk = list(islice(ids, size))
-            if not chunk:
-                return
-            yield from self._fetch(chunk)
-            size = min(size * 2, DEFAULT_BATCH_SIZE)
+        return ((patch_id,) for patch_id in self.ids())
 
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        for ids in chunked(self._ids(), size):
-            yield self._fetch(ids)
-
-    def _fetch(self, ids: list[int]) -> Batch:
-        patches = self.collection.get_many(ids, load_data=self.load_data)
-        return [(patch,) for patch in patches]
+        for chunk in chunked(self.ids(), size):
+            yield [(patch_id,) for patch_id in chunk]
 
 
-class IndexLookupScan(_IndexScan):
-    """Equality access path: patches with ``attr == value`` via an index."""
+@dataclass(eq=False)
+class AllIds(IdSource):
+    """Every patch id of a collection, in id order: the full scan."""
 
-    def __init__(
-        self,
-        collection: MaterializedCollection,
-        attr: str,
-        value,
-        kind: str = "hash",
-        *,
-        load_data: bool = True,
-    ) -> None:
-        self.collection = collection
-        self.attr = attr
-        self.value = value
-        self.kind = kind
-        self.load_data = load_data
+    collection: MaterializedCollection
 
-    def _ids(self) -> Iterator[int]:
-        index = self.collection.index(self.attr, self.kind)
-        return iter(index.lookup(self.value))
+    def ids(self) -> Iterable[int]:
+        return self.collection.ids()
 
 
-class IndexRangeScan(_IndexScan):
-    """Range access path: ``lo <= attr <= hi`` via a B+ tree index."""
+@dataclass(eq=False)
+class IndexLookup(IdSource):
+    """Equality access path: ids with ``attr == value`` via an index."""
 
-    def __init__(
-        self,
-        collection: MaterializedCollection,
-        attr: str,
-        lo=None,
-        hi=None,
-        kind: str = "btree",
-        *,
-        load_data: bool = True,
-    ) -> None:
-        self.collection = collection
-        self.attr = attr
-        self.lo = lo
-        self.hi = hi
-        self.kind = kind
-        self.load_data = load_data
+    collection: MaterializedCollection
+    attr: str
+    value: Any
+    kind: str = "hash"
 
-    def _ids(self) -> Iterator[int]:
+    def ids(self) -> Iterable[int]:
+        return self.collection.index(self.attr, self.kind).lookup(self.value)
+
+
+@dataclass(eq=False)
+class IndexRange(IdSource):
+    """Range access path: ids with ``lo <= attr <= hi`` via a B+ tree."""
+
+    collection: MaterializedCollection
+    attr: str
+    lo: Any = None
+    hi: Any = None
+    kind: str = "btree"
+
+    def ids(self) -> Iterable[int]:
         index = self.collection.index(self.attr, self.kind)
         return (patch_id for _, patch_id in index.range(self.lo, self.hi))
 
 
-class AnnTopKScan(_IndexScan):
-    """Index-backed top-k similarity: the ``k`` patches nearest to
-    ``query``, nearest first, served by a vector index probe (``hnsw``
-    beam search at ``ef``, or an exact BallTree k-NN) instead of a full
-    scan-and-sort."""
+@dataclass(eq=False)
+class AnnProbe(IdSource):
+    """Index-backed top-k similarity: the ids of the ``k`` patches
+    nearest to ``query``, nearest first, from a vector index probe
+    (``hnsw`` beam search at ``ef``, or an exact BallTree k-NN) instead
+    of a full scan-and-sort.
 
-    def __init__(
-        self,
-        collection: MaterializedCollection,
-        attr: str,
-        query,
-        k: int,
-        kind: str = "hnsw",
-        *,
-        ef: int | None = None,
-        load_data: bool = True,
-    ) -> None:
-        self.collection = collection
-        self.attr = attr
-        self.query = np.asarray(query, dtype=np.float64).ravel()
-        self.k = k
-        self.kind = kind
-        self.ef = ef
-        self.load_data = load_data
-        #: optional probe-stats callback the lowerer wires to the
-        #: operator's profile entry ({"hops": .., "candidates": ..};
-        #: empty for non-hnsw probes)
-        self.on_search: Callable[[dict], None] | None = None
+    ``on_search``, when set, receives the probe's stats
+    (``{"hops": .., "candidates": ..}``; empty for BallTree) — the
+    lowerer wires it to the operator's profile entry."""
 
-    def _ids(self) -> Iterator[int]:
+    collection: MaterializedCollection
+    attr: str
+    query: Any
+    k: int
+    kind: str = "hnsw"
+    ef: int | None = None
+    on_search: Callable[[dict], None] | None = None
+
+    def ids(self) -> Iterable[int]:
         index = self.collection.index(self.attr, self.kind)
+        query = np.asarray(self.query, dtype=np.float64).ravel()
         if self.kind == "hnsw":
-            nearest = index.search(self.query, self.k, ef=self.ef)
-            if self.on_search is not None:
-                self.on_search(dict(index.last_stats))
+            nearest = index.search(query, self.k, ef=self.ef)
+            stats = dict(index.last_stats)
         else:
-            nearest = index.query_knn(self.query, self.k)
-            if self.on_search is not None:
-                self.on_search({})
-        return iter([patch_id for _, patch_id in nearest])
+            nearest = index.query_knn(query, self.k)
+            stats = {}
+        if self.on_search is not None:
+            self.on_search(stats)
+        return [patch_id for _, patch_id in nearest]
 
 
 class AnnTopKExact(Operator):

@@ -4,12 +4,15 @@
 operator cost is crucial for cost-based query optimization." The model
 here covers the operators the optimizer chooses between:
 
+* access paths: a source of patch ids (index probe, B+ leaf walk,
+  zone-mapped segment scan, vector-index probe) plus fetched rows ×
+  ``fetch_per_patch`` (:meth:`CostModel.fetch`); the full scan fetches
+  every id in heap order at the sequential ``scan_per_patch``;
 * per-patch scan/filter costs;
 * all-pairs matching (nested loop over feature distances);
 * Ball-tree build and probe, with the **non-linear** size/dimension
   behaviour of Figure 7 — pruning effectiveness decays with dimension, so
   the probed fraction interpolates from logarithmic toward linear;
-* hash/B+ lookups;
 * device placement costs (delegated to the backend specs of
   :mod:`repro.vision.backends.device`).
 
@@ -48,9 +51,10 @@ class CostModel:
     #: Ball-tree probe visits ~ n**alpha(dim) candidates
     probe_alpha_low: float = 0.35
     probe_alpha_slope: float = 0.011
-    #: hash/B+ index point lookup
+    #: hash/B+ index probe (a range additionally walks its leaves at
+    #: ``filter_per_patch`` per entry)
     index_lookup: float = 1.2e-4
-    #: per-result fetch from the heap
+    #: per-id fetch from the heap
     fetch_per_patch: float = 1.2e-4
     #: producing one data-less patch from the columnar metadata segment
     #: (bulk column decode, no pixel decompression — far under
@@ -72,13 +76,10 @@ class CostModel:
         """Applying a UDF map over ``n`` rows (model inference)."""
         return n * self.udf_per_patch
 
-    def index_point_lookup(self, expected_results: float) -> float:
-        return self.index_lookup + expected_results * self.fetch_per_patch
-
-    def index_range_scan(self, expected_results: float) -> float:
-        return self.index_lookup + expected_results * (
-            self.fetch_per_patch + self.filter_per_patch
-        )
+    def fetch(self, source_seconds: float, rows: float) -> float:
+        """An id source feeding a Fetch: the source's own cost plus
+        ``rows`` patches fetched by id."""
+        return source_seconds + rows * self.fetch_per_patch
 
     # -- matching ------------------------------------------------------------
 

@@ -31,14 +31,16 @@ from repro.core.expressions import And, Expr
 from repro.core.metrics import NULL_REGISTRY, span
 from repro.core.operators import (
     DEFAULT_BATCH_SIZE,
+    AllIds,
+    AnnProbe,
     AnnTopKExact,
-    AnnTopKScan,
     BallTreeSimilarityJoin,
-    CollectionScan,
     DistinctCount,
+    Fetch,
     GroupBy,
-    IndexLookupScan,
-    IndexRangeScan,
+    IdSource,
+    IndexLookup,
+    IndexRange,
     InputProbe,
     IteratorScan,
     Limit,
@@ -589,9 +591,10 @@ def apply_metadata_only(
     A top-down pass tracking whether any consumer above each node can
     *observe* pixel data. Where nothing can — a metadata-only aggregate,
     or a ``Project`` that drops data — the storage scan underneath is
-    rewritten to skip the blob heap entirely and read the columnar
-    metadata segment instead. Opaque predicates, UDF maps, similarity
-    joins, and rows returned to the caller all count as observers.
+    rewritten so its access path omits the heap Fetch and reads the
+    columnar metadata segment instead. Opaque predicates, UDF maps,
+    similarity joins, and rows returned to the caller all count as
+    observers.
 
     Returns the (possibly unchanged) plan plus explain-trace note lines.
     """
@@ -926,16 +929,12 @@ class _Lowering:
                         ),
                     )
                 if explanation.chosen.kind == "zone-map-scan":
-                    # grade the zone-map skip estimate like a cardinality:
-                    # the scan reports (skipped, scanned) actuals into the
-                    # entry as it finishes
-                    scan = _find_metadata_scan(operator)
-                    if scan is not None:
-                        scan.on_blocks = entry.add_blocks
-                        entry.set_block_estimate(
-                            explanation.chosen.params["blocks_skipped"],
-                            explanation.chosen.params["blocks_total"],
-                        )
+                    # graded like a cardinality against the actuals the
+                    # scan reports as it finishes
+                    entry.set_block_estimate(
+                        explanation.chosen.params["blocks_skipped"],
+                        explanation.chosen.params["blocks_total"],
+                    )
                 operator = ProfiledOperator(
                     _instrument_scan_group(operator, entry), entry
                 )
@@ -973,43 +972,40 @@ class _Lowering:
             collection = self.optimizer.catalog.collection(child.collection)
             operator: Operator
             if kind in ("hnsw-ann", "balltree-knn"):
-                operator = AnnTopKScan(
-                    collection,
+                index_kind = "hnsw" if kind == "hnsw-ann" else "balltree"
+                ef = explanation.chosen.params.get("ef")
+                probe = AnnProbe(
+                    collection, node.attr, node.query, node.k, index_kind, ef
+                )
+                operator = Fetch(collection, probe, load_data=child.load_data)
+            elif node.attr == "data" and child.load_data:
+                # the distances read pixels: every patch is fetched
+                operator = AnnTopKExact(
+                    Fetch(collection, AllIds(collection)),
                     node.attr,
                     node.query,
                     node.k,
-                    "hnsw" if kind == "hnsw-ann" else "balltree",
-                    ef=explanation.chosen.params.get("ef"),
-                    load_data=child.load_data,
                 )
             else:
+                # a metadata vector: rank the segment rows, fetch only k
                 operator = AnnTopKExact(
-                    CollectionScan(collection, load_data=child.load_data),
-                    node.attr,
-                    node.query,
-                    node.k,
+                    MetadataScan(collection), node.attr, node.query, node.k
                 )
+                if child.load_data:
+                    operator = Fetch(collection, operator)
             if profile is not None:
                 entry = profile.operator(
                     f"{node.label()} [{kind}]", est_rows=float(node.k)
                 )
-                if isinstance(operator, AnnTopKScan):
-                    if operator.kind == "hnsw":
-                        # the cost model's visited count, graded against
-                        # the distances the beam actually computed
-                        ef = explanation.chosen.params.get("ef", node.k)
-                        entry.set_candidate_estimate(
-                            float(ef)
-                            * float(np.log2(max(len(collection), 2)))
-                        )
-                    operator.on_search = entry.add_ann
+                if kind == "hnsw-ann":
+                    # the cost model's visited count, graded against the
+                    # distances the beam actually computed
+                    ef = explanation.chosen.params.get("ef", node.k)
+                    entry.set_candidate_estimate(
+                        float(ef) * float(np.log2(max(len(collection), 2)))
+                    )
                 operator = ProfiledOperator(
-                    InputProbe(
-                        operator,
-                        entry,
-                        index_probes=isinstance(operator, AnnTopKScan),
-                    ),
-                    entry,
+                    _instrument_scan_group(operator, entry), entry
                 )
             return operator
         inner = self._lower_rows(child)
@@ -1279,59 +1275,42 @@ def join_dim(optimizer: Optimizer, node: logical.SimilarityJoin) -> tuple[int, s
 
 
 def _scan_rooted(operator: Operator) -> bool:
-    """True when a physical chain bottoms out at a storage scan with only
-    filters in between — the shape where a prefetch stage buys I/O
-    overlap. Anything heavier in between (another map, a join) already
-    decouples the scan from the consumer. Profiling wrappers are
-    transparent: instrumentation must not change what gets prefetched."""
-    current = operator
-    while isinstance(current, (Select, ProfiledOperator, InputProbe)):
-        current = current.child
-    return isinstance(
-        current,
-        (
-            CollectionScan,
-            IndexLookupScan,
-            IndexRangeScan,
-            IteratorScan,
-            MetadataScan,
-        ),
-    )
-
-
-def _find_metadata_scan(operator: Operator) -> MetadataScan | None:
-    """The MetadataScan at the base of a lowered scan group, if any."""
-    current: Operator | None = operator
-    while current is not None:
-        if isinstance(current, MetadataScan):
-            return current
-        current = getattr(current, "child", None)
-    return None
+    """True when a physical chain bottoms out at a storage source with
+    only filters and a Fetch in between — the shape where a prefetch
+    stage buys I/O overlap. Anything heavier in between (another map, a
+    join) already decouples the scan from the consumer. Profiling
+    wrappers are transparent: instrumentation must not change what gets
+    prefetched."""
+    while isinstance(operator, (Select, Fetch, ProfiledOperator, InputProbe)):
+        operator = operator.child
+    return isinstance(operator, (IdSource, IteratorScan, MetadataScan))
 
 
 def _instrument_scan_group(
     operator: Operator, entry: "OperatorProfile"
 ) -> Operator:
-    """Insert an :class:`InputProbe` directly above the storage scan at
-    the base of a scan group, so the entry's input-row count is what the
-    storage layer actually produced — for index-backed scans, the probe
-    count. Residual Selects stay above the probe."""
-    if isinstance(operator, Select):
-        innermost = operator
-        while isinstance(innermost.child, Select):
-            innermost = innermost.child
-        base = innermost.child
-        innermost.child = InputProbe(
-            base,
-            entry,
-            index_probes=isinstance(base, (IndexLookupScan, IndexRangeScan)),
-        )
-        return operator
-    return InputProbe(
-        operator,
+    """Insert an :class:`InputProbe` directly above the source under the
+    Fetch, so the entry's input-row count is what the access path
+    actually produced — for index sources, the probe count. The Fetch
+    and residual Selects stay above the probe. A zone-mapped segment
+    scan reports its skipped blocks, and a vector-index probe its search
+    stats, into the same entry."""
+    parent, source = None, operator
+    while isinstance(source, (Select, Fetch)):
+        parent, source = source, source.child
+    if isinstance(source, MetadataScan) and source.expr is not None:
+        source.on_blocks = entry.add_blocks
+    if isinstance(source, AnnProbe):
+        source.on_search = entry.add_ann
+    probe = InputProbe(
+        source,
         entry,
-        index_probes=isinstance(operator, (IndexLookupScan, IndexRangeScan)),
+        index_probes=isinstance(source, (IndexLookup, IndexRange, AnnProbe)),
     )
+    if parent is None:
+        return probe
+    parent.child = probe
+    return operator
 
 
 def _base_collection(node: logical.LogicalPlan) -> str | None:

@@ -2,9 +2,10 @@
 
 Three decisions, each the subject of one of the paper's experiments:
 
-* **access-path selection** (Figure 4): full scan + filter vs hash lookup
-  vs B+ range scan, driven by the predicate's conjuncts and the catalog's
-  index registry;
+* **access-path selection** (Figure 4): full scan + filter vs zone-mapped
+  segment scan vs hash lookup vs B+ range scan, driven by the predicate's
+  conjuncts and the catalog's index registry — each a source of patch
+  ids feeding one Fetch;
 * **similarity-join strategy** (Figures 5/7): nested loop vs Ball-tree
   (and which side to index), using the non-linear cost model;
 * **device placement** (Figure 8): CPU/AVX/GPU per kernel profile;
@@ -25,15 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.catalog import Catalog
+from repro.core.catalog import Catalog, MaterializedCollection
 from repro.core.executor import ExecutionPlan
 from repro.core.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.core.expressions import And, Comparison, Expr, extract_bounds
-from repro.core.logical import expr_signature_key
+from repro.core.logical import expr_attrs, expr_signature_key
 from repro.core.operators import (
-    CollectionScan,
-    IndexLookupScan,
-    IndexRangeScan,
+    AllIds,
+    Fetch,
+    IdSource,
+    IndexLookup,
+    IndexRange,
     MetadataScan,
     Operator,
     Select,
@@ -297,62 +300,65 @@ class Optimizer:
     ) -> tuple[Operator, Explanation]:
         """Best access path for ``SELECT * FROM collection WHERE expr``.
 
-        ``load_data=False`` plans against the columnar metadata segment:
-        the base candidate is a ``metadata-scan`` (no heap reads, no
-        pixel decompression), and when the predicate's zone maps prove
-        some blocks cannot match, a cheaper ``zone-map-scan`` candidate
-        skips them outright.
+        Every candidate is a source of patch ids plus one :class:`Fetch`
+        where the plan reads pixels (``load_data``), costed as the
+        source plus its fetched rows (:meth:`CostModel.fetch`):
+
+        * ``full-scan`` fetches every id in id order; with
+          ``load_data=False`` it is a ``metadata-scan`` of the columnar
+          segment instead (no heap reads, no Fetch);
+        * ``zone-map-scan`` filters the segment, skipping sealed blocks
+          whose zone maps prove no row can match, and fetches only the
+          surviving matches — offered when at least one block is
+          skipped;
+        * ``hash-lookup``, ``btree-lookup`` and ``btree-range`` probe an
+          index (:meth:`_index_candidates`); their ids always pass
+          through a Fetch, which answers from the segment when no pixels
+          are read.
+
+        A zone-map scan evaluates the predicate on the segment, below the
+        Fetch; index residuals and opaque predicates (which may read
+        pixels) run above it.
         """
         collection = self.catalog.collection(collection_name)
         n = max(len(collection), 1)
-        candidates: list[tuple[PlanChoice, Operator]] = []
         described = repr(expr) if expr is not None else "scan"
 
         estimate = self.predicate_estimate(collection_name, expr)
         est_rows = estimate.rows(len(collection))
-        scan = CollectionScan(collection, load_data=load_data)
-        full = Select(scan, expr) if expr else scan
-        candidates.append(
-            (
-                PlanChoice(
-                    "full-scan" if load_data else "metadata-scan",
-                    self.cost.full_scan(n)
-                    if load_data
-                    else self.cost.metadata_scan(n),
-                    {"est_rows": est_rows, "stat_source": estimate.source},
-                ),
-                full,
-            )
-        )
+        params = {"est_rows": est_rows, "stat_source": estimate.source}
+        if load_data:
+            full = PlanChoice("full-scan", self.cost.full_scan(n), params)
+            scan: Operator = Fetch(collection, AllIds(collection))
+        else:
+            full = PlanChoice("metadata-scan", self.cost.metadata_scan(n), params)
+            scan = MetadataScan(collection)
+        candidates = [(full, _select(scan, expr))]
         estimates = [
             f"{collection_name!r}: {described} ~ {est_rows:.0f} of "
             f"{len(collection)} rows ({estimate.source})"
         ]
 
-        if not load_data and expr is not None:
-            block_stats = getattr(collection, "metadata_block_stats", None)
-            if block_stats is not None:
-                kept, total, surviving = block_stats(expr)
-                if total and kept < total:
-                    candidates.append(
-                        (
-                            PlanChoice(
-                                "zone-map-scan",
-                                self.cost.metadata_scan(surviving),
-                                {
-                                    "est_rows": est_rows,
-                                    "stat_source": estimate.source,
-                                    "blocks_skipped": total - kept,
-                                    "blocks_total": total,
-                                },
-                            ),
-                            Select(MetadataScan(collection, expr), expr),
-                        )
+        # an opaque Predicate may read pixels: it cannot run on the segment
+        if expr is not None and expr_attrs(expr) is not None:
+            kept, total, surviving = collection.metadata_block_stats(expr)
+            if total and kept < total:
+                zones = {"blocks_skipped": total - kept, "blocks_total": total}
+                candidates.append(
+                    self._candidate(
+                        "zone-map-scan",
+                        collection,
+                        Select(MetadataScan(collection, expr), expr),
+                        self.cost.metadata_scan(surviving),
+                        est_rows,
+                        {**params, **zones},
+                        load_data,
                     )
-                    estimates.append(
-                        f"{collection_name!r}: zone maps skip {total - kept} "
-                        f"of {total} blocks for {described}"
-                    )
+                )
+                estimates.append(
+                    f"{collection_name!r}: zone maps skip {total - kept} "
+                    f"of {total} blocks for {described}"
+                )
 
         if expr is not None:
             candidates.extend(
@@ -367,75 +373,87 @@ class Optimizer:
             estimates=estimates,
         )
 
+    def _candidate(
+        self,
+        kind: str,
+        collection: MaterializedCollection,
+        source: Operator,
+        source_seconds: float,
+        fetched: float,
+        params: dict,
+        load_data: bool,
+        residual: Expr | None = None,
+    ) -> tuple[PlanChoice, Operator]:
+        """One access path: ``source``, the Fetch that turns its ids into
+        patches (an id source always needs one; a segment source only
+        when pixels are read), and the residual Select above."""
+        if load_data or isinstance(source, IdSource):
+            source = Fetch(collection, source, load_data=load_data)
+            source_seconds = self.cost.fetch(source_seconds, fetched)
+        return PlanChoice(kind, source_seconds, params), _select(source, residual)
+
     def _index_candidates(
         self, collection_name: str, expr: Expr, n: int, load_data: bool = True
     ) -> list[tuple[PlanChoice, Operator]]:
+        """Index access paths for the conjuncts of ``expr``: an equality
+        conjunct probes a hash or B+ index, a bounded one walks a B+
+        range; the other conjuncts stay as a residual above the Fetch.
+        Multi-value (inverted, "contains") indexes are never offered:
+        their keys are elements, not attribute values."""
         collection = self.catalog.collection(collection_name)
         conjuncts = expr.conjuncts()
         out: list[tuple[PlanChoice, Operator]] = []
+
+        def usable(attr: str, kind: str) -> bool:
+            return self.catalog.has_index(
+                collection_name, attr, kind
+            ) and not self.catalog.is_multi_value(collection_name, attr, kind)
+
         for position, conjunct in enumerate(conjuncts):
-            rest = [c for i, c in enumerate(conjuncts) if i != position]
+            rest = conjuncts[:position] + conjuncts[position + 1 :]
             residual = None if not rest else (rest[0] if len(rest) == 1 else And(*rest))
-            if isinstance(conjunct, Comparison) and conjunct.op == "==":
-                for kind in ("hash", "btree"):
-                    if not self.catalog.has_index(collection_name, conjunct.attr, kind):
-                        continue
-                    scan: Operator = IndexLookupScan(
-                        collection, conjunct.attr, conjunct.value, kind,
-                        load_data=load_data,
-                    )
-                    if residual is not None:
-                        scan = Select(scan, residual)
-                    # expected fetches: the index returns exactly the
-                    # rows matching this conjunct
-                    eq_estimate = self.predicate_estimate(
-                        collection_name, conjunct
-                    )
-                    expected = eq_estimate.rows(n)
-                    cost = self.cost.index_point_lookup(expected)
-                    out.append(
-                        (
-                            PlanChoice(
-                                f"{kind}-lookup",
-                                cost,
-                                {
-                                    "attr": conjunct.attr,
-                                    "value": conjunct.value,
-                                    "est_rows": expected,
-                                    "stat_source": eq_estimate.source,
-                                },
-                            ),
-                            scan,
-                        )
-                    )
-            lo, hi, bound_residual = extract_bounds(conjunct, _attr_of(conjunct))
-            if (lo is not None or hi is not None) and self.catalog.has_index(
-                collection_name, _attr_of(conjunct), "btree"
-            ):
-                attr = _attr_of(conjunct)
-                scan = IndexRangeScan(collection, attr, lo, hi, load_data=load_data)
-                combined = _combine(bound_residual, residual)
-                if combined is not None:
-                    scan = Select(scan, combined)
-                range_estimate = self.predicate_estimate(
-                    collection_name, conjunct
-                )
-                expected = range_estimate.rows(n)
-                cost = self.cost.index_range_scan(expected)
+            attr = _attr_of(conjunct)
+            lo, hi, bound_residual = extract_bounds(conjunct, attr)
+            equality = isinstance(conjunct, Comparison) and conjunct.op == "=="
+            kinds = [k for k in ("hash", "btree") if equality and usable(attr, k)]
+            ranged = (lo is not None or hi is not None) and usable(attr, "btree")
+            if not kinds and not ranged:
+                continue
+            # expected fetches: the index returns exactly the rows
+            # matching this conjunct
+            estimate = self.predicate_estimate(collection_name, conjunct)
+            expected = estimate.rows(n)
+            params = {
+                "attr": attr,
+                "est_rows": expected,
+                "stat_source": estimate.source,
+            }
+            for kind in kinds:
                 out.append(
-                    (
-                        PlanChoice(
-                            "btree-range",
-                            cost,
-                            {
-                                "attr": attr,
-                                "lo": lo,
-                                "hi": hi,
-                                "est_rows": expected,
-                                "stat_source": range_estimate.source,
-                            },
-                        ),
-                        scan,
+                    self._candidate(
+                        f"{kind}-lookup",
+                        collection,
+                        IndexLookup(collection, attr, conjunct.value, kind),
+                        self.cost.index_lookup,
+                        expected,
+                        {**params, "value": conjunct.value},
+                        load_data,
+                        residual,
+                    )
+                )
+            if ranged:
+                out.append(
+                    self._candidate(
+                        "btree-range",
+                        collection,
+                        IndexRange(collection, attr, lo, hi),
+                        # the probe, then a walk over the matching leaves
+                        self.cost.index_lookup
+                        + expected * self.cost.filter_per_patch,
+                        expected,
+                        {**params, "lo": lo, "hi": hi},
+                        load_data,
+                        _combine(bound_residual, residual),
                     )
                 )
         return out
@@ -491,24 +509,26 @@ class Optimizer:
         """Choose the access path for a top-k similarity query: HNSW
         graph probe (approximate — expected recall rides on the
         candidate), prebuilt BallTree k-NN (exact), or an exact
-        scan-and-select. Costs come from recorded row counts and the
-        embedding dimension; the winner and its expected recall are what
+        scan-and-select over the metadata segment. Each then fetches
+        only its ``k`` winners. Costs come from recorded row counts and
+        the embedding dimension; the winner and its expected recall are what
         ``explain()`` shows for ``ORDER BY similarity LIMIT k``.
         """
         from repro.indexes.hnsw import expected_recall
 
         collection = self.catalog.collection(collection_name)
         n = max(len(collection), 1)
-        fetch = k * self.cost.fetch_per_patch
         estimates = [
             f"{collection_name!r}: top-{k} of {n} rows, {dim}-dim embeddings"
         ]
         candidates = [
             PlanChoice(
                 "exact-topk-scan",
-                self.cost.metadata_scan(n)
-                + n * self.cost.pair_distance(dim)
-                + fetch,
+                self.cost.fetch(
+                    self.cost.metadata_scan(n)
+                    + n * self.cost.pair_distance(dim),
+                    k,
+                ),
                 {"rows_compared": n},
                 accuracy=PlanAccuracy(precision=1.0, recall=1.0),
             )
@@ -517,7 +537,7 @@ class Optimizer:
             candidates.append(
                 PlanChoice(
                     "balltree-knn",
-                    self.cost.balltree_probe(n, dim) + fetch,
+                    self.cost.fetch(self.cost.balltree_probe(n, dim), k),
                     {"attr": attr},
                     accuracy=PlanAccuracy(precision=1.0, recall=1.0),
                 )
@@ -529,7 +549,7 @@ class Optimizer:
             candidates.append(
                 PlanChoice(
                     "hnsw-ann",
-                    self.cost.hnsw_probe(n, dim, ef) + fetch,
+                    self.cost.fetch(self.cost.hnsw_probe(n, dim, ef), k),
                     {"attr": attr, "ef": ef},
                     accuracy=PlanAccuracy(precision=1.0, recall=recall),
                 )
@@ -615,11 +635,7 @@ class Optimizer:
 
 
 def _attr_of(expr: Expr) -> str:
-    if isinstance(expr, Comparison):
-        return expr.attr
-    if hasattr(expr, "attr"):
-        return expr.attr  # type: ignore[attr-defined]
-    return ""
+    return getattr(expr, "attr", "")
 
 
 def _combine(a: Expr | None, b: Expr | None) -> Expr | None:
@@ -628,3 +644,7 @@ def _combine(a: Expr | None, b: Expr | None) -> Expr | None:
     if b is None:
         return a
     return And(a, b)
+
+
+def _select(operator: Operator, expr: Expr | None) -> Operator:
+    return operator if expr is None else Select(operator, expr)

@@ -9,6 +9,7 @@ common shape the query layer consumes: metadata key -> patch id.
 from __future__ import annotations
 
 import struct
+from numbers import Real
 from typing import Any, Iterator
 
 from repro.errors import IndexError_
@@ -21,6 +22,25 @@ def _pack_id(patch_id: int) -> bytes:
 
 def _unpack_id(payload: bytes) -> int:
     return struct.unpack(">q", payload)[0]
+
+
+def _key_images(key: Any) -> list:
+    """Every stored key equal to ``key``: ``7`` and ``7.0`` are equal but
+    encode with an int/float discriminator (int first), so an integral
+    number is probed under both images."""
+    if isinstance(key, Real) and not isinstance(key, bool):
+        number = float(key)
+        if number.is_integer() and abs(number) <= 2**53:
+            return [int(number), number]
+    return [key]
+
+
+def _lookup(store, key: Any) -> list[int]:
+    return [
+        _unpack_id(payload)
+        for image in _key_images(key)
+        for payload in store.get(image)
+    ]
 
 
 class HashIndex:
@@ -36,7 +56,7 @@ class HashIndex:
         self._store.put(key, _pack_id(patch_id))
 
     def lookup(self, key: Any) -> list[int]:
-        return [_unpack_id(payload) for payload in self._store.get(key)]
+        return _lookup(self._store, key)
 
     def delete(self, key: Any, patch_id: int | None = None) -> int:
         payload = None if patch_id is None else _pack_id(patch_id)
@@ -73,7 +93,7 @@ class BTreeIndex:
         )
 
     def lookup(self, key: Any) -> list[int]:
-        return [_unpack_id(payload) for payload in self._store.get(key)]
+        return _lookup(self._store, key)
 
     def range(
         self,
@@ -83,6 +103,15 @@ class BTreeIndex:
         include_lo: bool = True,
         include_hi: bool = True,
     ) -> Iterator[tuple[Any, int]]:
+        # widen integral bounds to cover both images of the number: an
+        # inclusive range starts at the int image of lo and ends at the
+        # float image of hi; an exclusive one steps past both
+        if lo is not None:
+            images = _key_images(lo)
+            lo = images[0] if include_lo else images[-1]
+        if hi is not None:
+            images = _key_images(hi)
+            hi = images[-1] if include_hi else images[0]
         for key, payload in self._store.range(
             lo, hi, include_lo=include_lo, include_hi=include_hi
         ):

@@ -14,7 +14,10 @@ paths that must agree row-for-row:
   one);
 * ANN top-k at an exhaustive beam (``ef = n``) vs brute-force exact
   top-k (the approximate access path must degenerate to the exact
-  answer, whichever path the optimizer costs out).
+  answer, whichever path the optimizer costs out);
+* a session with hash/B+ indexes and sealed zone-mapped segment blocks
+  vs a plain one (physical design picks the access path — index probe,
+  zone-map scan, then a late Fetch of the pixels — never the answer).
 
 Any divergence is a planner or engine bug, reported as a shrunk
 counterexample query rather than a hand-picked regression.
@@ -87,6 +90,21 @@ def ann_db(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def design_db(tmp_path_factory):
+    """The ``db`` rows under a physical design: a hash index on
+    ``label``, B+ trees on ``score`` and ``frameno``, and 16-row segment
+    blocks, so sealed zone-mapped blocks exist."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.storage.metadata_segment.BLOCK_ROWS", 16)
+        with DeepLens(tmp_path_factory.mktemp("differential_design")) as session:
+            session.materialize(make_patches(), "det")
+            session.create_index("det", "label", "hash")
+            session.create_index("det", "score", "btree")
+            session.create_index("det", "frameno", "btree")
+            yield session
+
+
+@pytest.fixture(scope="module")
 def view_db(tmp_path_factory):
     with DeepLens(tmp_path_factory.mktemp("differential_view")) as session:
         session.materialize(make_patches(), "det")
@@ -96,6 +114,15 @@ def view_db(tmp_path_factory):
 
 
 # -- query generator ------------------------------------------------------
+
+
+def numbers(low, high):
+    """An integral literal drawn as an int or a float: ``7`` and ``7.0``
+    are equal, whether the stored value is a float (``score``) or an int
+    (``frameno``)."""
+    return st.integers(low, high).flatmap(
+        lambda value: st.sampled_from([value, float(value)])
+    )
 
 
 @st.composite
@@ -108,16 +135,17 @@ def leaves(draw):
         if draw(st.booleans()):
             return Attr("label") == value, f"label = '{value}'"
         return Attr("label") != value, f"label != '{value}'"
+    name = draw(st.sampled_from(["score", "frameno"]))
     if kind == "between":
-        low = draw(st.integers(-5, 60))
-        high = low + draw(st.integers(0, 30))
+        low = draw(numbers(-5, 60))
+        high = draw(numbers(int(low), int(low) + 30))
         return (
-            Attr("score").between(float(low), float(high)),
-            f"score BETWEEN {float(low)} AND {float(high)}",
+            Attr(name).between(low, high),
+            f"{name} BETWEEN {low} AND {high}",
         )
-    value = float(draw(st.integers(-5, 65)))
+    value = draw(numbers(-5, 65))
     op = draw(st.sampled_from(["<", "<=", ">", ">=", "==", "!="]))
-    attr = Attr("score")
+    attr = Attr(name)
     expr = {
         "<": attr < value,
         "<=": attr <= value,
@@ -126,7 +154,7 @@ def leaves(draw):
         "==": attr == value,
         "!=": attr != value,
     }[op]
-    return expr, f"score {'=' if op == '==' else op} {value}"
+    return expr, f"{name} {'=' if op == '==' else op} {value}"
 
 
 @st.composite
@@ -242,6 +270,30 @@ def test_metadata_only_matches_full_scan(db, shape):
     assert lean_signature(db.sql(lean_sql)) == lean_signature(lean)
 
 
+@given(shape=query_shapes())
+@settings(max_examples=40, deadline=None)
+def test_physical_design_never_changes_answers(db, design_db, shape):
+    """Indexes and zone maps choose how rows are found — and, for pixel
+    queries, which ids a late Fetch reads — never which rows come back,
+    through either frontend, with or without pixels."""
+    where, order, limit = shape
+    # without ORDER BY a LIMIT keeps physical-order-dependent rows, and
+    # an index path's order is legitimately its own — skip that shape
+    shape = (where, order, limit if order is not None else None)
+
+    def signature(patches):
+        rows = row_signature(patches)
+        return rows if order is not None else sorted(rows)
+
+    for load_data in (True, False):
+        designed, designed_sql = build(design_db, shape, load_data=load_data)
+        plain, _ = build(db, shape, load_data=load_data)
+        expected = signature(plain.patches())
+        assert signature(designed.patches()) == expected
+        assert signature(design_db.sql(designed_sql)) == expected
+        assert designed.count() == len(expected)
+
+
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 20))
 @settings(max_examples=25, deadline=None)
 def test_ann_at_exhaustive_ef_matches_exact_topk(ann_db, seed, k):
@@ -275,3 +327,22 @@ def test_view_reuse_actually_happens(view_db):
     explanation = query.explain()
     assert any("view-match" in line for line in explanation.rewrites)
     assert explanation.chosen.kind in {"view-scan", "hash-lookup", "full-scan"}
+
+
+def test_design_paths_actually_happen(design_db):
+    # guards the design oracle's bite: its session really plans index
+    # probes and zone-map scans, with and without the pixel Fetch
+    kinds = {
+        (expr_name, load_data): design_db.scan("det", load_data=load_data)
+        .filter(expr)
+        .explain()
+        .chosen.kind
+        for load_data in (True, False)
+        for expr_name, expr in (
+            ("point", Attr("score") == 7),
+            ("tail", Attr("frameno") >= 50),
+        )
+    }
+    assert kinds[("point", True)] == "btree-lookup"
+    assert kinds[("tail", True)] == "zone-map-scan"
+    assert kinds[("tail", False)] == "zone-map-scan"

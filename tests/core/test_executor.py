@@ -26,8 +26,9 @@ from repro.core.executor import (
 )
 from repro.core.operators import (
     DEFAULT_BATCH_SIZE,
-    IndexLookupScan,
-    IndexRangeScan,
+    Fetch,
+    IndexLookup,
+    IndexRange,
     IteratorScan,
     MapPatches,
 )
@@ -419,8 +420,9 @@ class TestBatchedIndexScans:
         return db
 
     def test_lookup_scan_coalesces_and_matches_full_scan(self, indexed_db):
-        scan = IndexLookupScan(
-            indexed_db.collection("c"), "label", "vehicle", "hash"
+        collection = indexed_db.collection("c")
+        scan = Fetch(
+            collection, IndexLookup(collection, "label", "vehicle", "hash")
         )
         via_index = sorted(row[0].patch_id for row in scan)
         brute = sorted(
@@ -433,8 +435,9 @@ class TestBatchedIndexScans:
         assert via_index == brute
 
     def test_lookup_iter_batches_respects_size(self, indexed_db):
-        scan = IndexLookupScan(
-            indexed_db.collection("c"), "label", "vehicle", "hash"
+        collection = indexed_db.collection("c")
+        scan = Fetch(
+            collection, IndexLookup(collection, "label", "vehicle", "hash")
         )
         batches = list(scan.iter_batches(6))
         assert [len(b) for b in batches] == [6, 6, 6, 2]
@@ -456,23 +459,27 @@ class TestBatchedIndexScans:
             return original(ids, **kwargs)
 
         monkeypatch.setattr(collection, "get_many", counting)
-        scan = IndexLookupScan(collection, "label", "vehicle", "hash")
+        scan = Fetch(
+            collection, IndexLookup(collection, "label", "vehicle", "hash")
+        )
         rows = iter(scan)
         for _ in range(3):
             next(rows)
         assert requested == [scan.ROW_PATH_INITIAL_FETCH]
 
     def test_range_scan_batched_matches_row_path(self, indexed_db):
-        scan = IndexRangeScan(
-            indexed_db.collection("c"), "score", 10.0, 30.0, "btree"
+        collection = indexed_db.collection("c")
+        scan = Fetch(
+            collection, IndexRange(collection, "score", 10.0, 30.0, "btree")
         )
         batched = [row[0].patch_id for b in scan.iter_batches(4) for row in b]
         assert batched == [row[0].patch_id for row in scan]
         assert len(batched) == 21
 
     def test_bad_batch_size_rejected(self, indexed_db):
-        scan = IndexLookupScan(
-            indexed_db.collection("c"), "label", "vehicle", "hash"
+        collection = indexed_db.collection("c")
+        scan = Fetch(
+            collection, IndexLookup(collection, "label", "vehicle", "hash")
         )
         with pytest.raises(QueryError, match="positive"):
             list(scan.iter_batches(0))

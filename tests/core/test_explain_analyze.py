@@ -211,6 +211,26 @@ class TestCounters:
         probes = sum(e.index_probes for e in explanation.profile.entries)
         assert probes == 4  # every fetched row came through the index
 
+    def test_pixel_zone_map_scan_grades_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.storage.metadata_segment.BLOCK_ROWS", 16)
+        with DeepLens(tmp_path) as session:
+            session.materialize(make_patches(), "det")
+            query = session.scan("det").filter(Attr("score").between(40.0, 50.0))
+            explanation = query.explain(analyze=True)
+            assert explanation.chosen.kind == "zone-map-scan"
+            entry = next(
+                e
+                for e in explanation.profile.entries
+                if e.est_blocks_skipped is not None
+            )
+            # 120 rows: 7 sealed 16-row blocks, two of which may match
+            assert entry.blocks_skipped == entry.est_blocks_skipped == 5
+            assert entry.blocks_scanned == 2
+            assert entry.rows_out == 11
+            rows = query.patches()
+            assert [p["score"] for p in rows] == [float(v) for v in range(40, 51)]
+            assert all(p.data.size > 0 for p in rows)
+
     def test_join_entry_spans_both_children(self, db):
         explanation = (
             db.scan("det")

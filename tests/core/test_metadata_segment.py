@@ -40,19 +40,22 @@ def make_patches(n=50, source="vid"):
 
 
 class HeapSpy:
-    """Counts reads against one BlobHeap."""
+    """Counts reads (calls) and the records they return against one
+    BlobHeap."""
 
     def __init__(self, heap):
         self.heap = heap
         self.reads = 0
+        self.records = 0
         self._get, self._multi = heap.get, heap.multi_get
-        heap.get = self._spy(self._get)
-        heap.multi_get = self._spy(self._multi)
+        heap.get = self._spy(self._get, lambda ref: 1)
+        heap.multi_get = self._spy(self._multi, len)
 
-    def _spy(self, fn):
-        def wrapped(*args, **kwargs):
+    def _spy(self, fn, count):
+        def wrapped(refs, *args, **kwargs):
             self.reads += 1
-            return fn(*args, **kwargs)
+            self.records += count(refs)
+            return fn(refs, *args, **kwargs)
 
         return wrapped
 
@@ -323,6 +326,29 @@ class TestPlannerMetadataPaths:
             assert sorted(p["score"] for p in rows) == [
                 float(v) for v in range(112, 120)
             ]
+
+    def test_pixel_zone_map_scan_fetches_only_matches(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "repro.storage.metadata_segment.BLOCK_ROWS", 16
+        )
+        with DeepLens(tmp_path) as db:
+            db.materialize(make_patches(120), "det")
+            sql = "SELECT * FROM det WHERE frameno BETWEEN 40 AND 50"
+            explanation = db.sql_query(sql).explain()
+            assert explanation.chosen.kind == "zone-map-scan"
+            assert explanation.chosen.params["blocks_total"] >= 2
+            assert explanation.chosen.params["blocks_skipped"] > 0
+            spy = HeapSpy(db.catalog.heap)
+            try:
+                rows = db.sql(sql)
+            finally:
+                spy.restore()
+            assert sorted(p["frameno"] for p in rows) == list(range(40, 51))
+            assert all(p.data.size > 0 for p in rows)
+            # the Fetch reads exactly the matching records, nothing else
+            assert spy.records == len(rows)
 
     def test_count_flips_to_metadata_scan(self, tmp_path):
         with DeepLens(tmp_path) as db:

@@ -398,3 +398,82 @@ class TestPipelineSynthesis:
     def test_rejects_empty_library(self):
         with pytest.raises(OptimizerError, match="empty"):
             PipelineSynthesizer([])
+
+
+INDEX_KINDS = {"hash-lookup", "btree-lookup", "btree-range"}
+
+
+@pytest.fixture(scope="module")
+def numeric_sessions(tmp_path_factory):
+    """300 rows with ``score = float(i)``: one session indexes ``score``
+    (btree) and ``frameno`` (hash), the other has no index."""
+    from repro.core import DeepLens
+
+    def gen():
+        for i in range(300):
+            patch = Patch.from_frame("v", i, np.full((2, 2, 3), i % 7, np.uint8))
+            patch.metadata["score"] = float(i)
+            yield patch
+
+    with DeepLens(tmp_path_factory.mktemp("indexed")) as indexed, DeepLens(
+        tmp_path_factory.mktemp("plain")
+    ) as plain:
+        for session in (indexed, plain):
+            session.materialize(gen(), "c")
+        indexed.create_index("c", "score", "btree")
+        indexed.create_index("c", "frameno", "hash")
+        yield indexed, plain
+
+
+class TestIndexAnswersMatchFullScan:
+    """An index path must answer exactly like a full scan, whichever
+    numeric type the literal or the stored value has."""
+
+    @pytest.mark.parametrize(
+        "where, count",
+        [
+            ("score = 7", 1),
+            ("score BETWEEN 7 AND 9", 3),
+            ("score <= 9", 10),
+            ("score > 7 AND score < 10", 2),
+            ("frameno = 7.0", 1),
+            ("frameno = 7", 1),
+            ("score = 7.5", 0),
+        ],
+    )
+    def test_int_and_float_literals(self, numeric_sessions, where, count):
+        indexed, plain = numeric_sessions
+        sql = f"SELECT * FROM c WHERE {where}"
+        assert indexed.sql_query(sql).explain().chosen.kind in INDEX_KINDS
+        assert indexed.sql(f"SELECT COUNT(*) FROM c WHERE {where}") == count
+        assert plain.sql(f"SELECT COUNT(*) FROM c WHERE {where}") == count
+        assert sorted(p.patch_id for p in indexed.sql(sql)) == sorted(
+            p.patch_id for p in plain.sql(sql)
+        )
+
+
+class TestMultiValueIndexNotAnAccessPath:
+    def test_equality_is_not_served_by_a_contains_index(self, tmp_path):
+        from repro.core import DeepLens
+
+        def gen():
+            for i in range(300):
+                patch = Patch.from_frame("v", i, np.zeros((2, 2, 3), np.uint8))
+                if i % 50 == 0:
+                    patch.metadata["tags"] = ["a", "a"]
+                yield patch
+
+        with DeepLens(tmp_path) as db:
+            db.materialize(gen(), "c")
+            db.create_index("c", "tags", "hash", multi_value=True)
+            sql = "SELECT * FROM c WHERE tags = 'a'"
+            explanation = db.sql_query(sql).explain()
+            assert not {c.kind for c in explanation.candidates} & INDEX_KINDS
+            # a list never equals a string: no rows either way
+            assert db.sql(sql) == []
+            assert db.sql("SELECT COUNT(*) FROM c WHERE tags = 'a'") == 0
+            # the inverted index itself lists each patch once per
+            # distinct element
+            hits = db.collection("c").lookup("tags", "a")
+            assert len(hits) == 6
+            assert len({p.patch_id for p in hits}) == 6

@@ -301,3 +301,48 @@ class TestSingleDimIndexes:
         index.append(5, 50)
         assert index.lookup(5) == [50]
         index.close()
+
+
+class TestNumericKeyImages:
+    """``7`` and ``7.0`` are equal keys, but their encoded images carry an
+    int/float discriminator: probes must find either stored type."""
+
+    @pytest.mark.parametrize("kind", ["hash", "btree"])
+    @pytest.mark.parametrize(
+        "stored, probe",
+        [(7, 7.0), (7.0, 7), (7, 7), (7.0, 7.0), (7, np.float32(7.0))],
+    )
+    def test_lookup_finds_numerically_equal_key(
+        self, tmp_path, kind, stored, probe
+    ):
+        with Pager(tmp_path / "idx.db") as pager:
+            index = (HashIndex if kind == "hash" else BTreeIndex)(pager, "x")
+            index.insert(stored, 1)
+            index.insert(7.5, 2)
+            index.insert(8, 3)
+            index.insert(True, 4)
+            assert index.lookup(probe) == [1]
+            assert index.lookup(7.5) == [2]
+            assert index.lookup(True) == [4]
+
+    @pytest.mark.parametrize(
+        "lo, hi, flags, expected",
+        [
+            (7, 9, {}, [7, 70, 80, 9, 90]),
+            (7.0, 9.0, {}, [7, 70, 80, 9, 90]),
+            (7, 9, {"include_lo": False}, [80, 9, 90]),
+            (7, 9, {"include_hi": False}, [7, 70, 80]),
+            (7.5, 9, {}, [80, 9, 90]),
+            (None, 7, {}, [6, 7, 70]),
+            (9.0, None, {}, [9, 90, 10]),
+        ],
+    )
+    def test_btree_range_covers_both_images(
+        self, tmp_path, lo, hi, flags, expected
+    ):
+        with Pager(tmp_path / "idx.db") as pager:
+            index = BTreeIndex(pager, "x")
+            # payload id = key for ints, 10 * key for floats
+            for key in (6, 7, 7.0, 8.0, 9, 9.0, 10):
+                index.insert(key, int(key * 10) if isinstance(key, float) else key)
+            assert [pid for _, pid in index.range(lo, hi, **flags)] == expected
